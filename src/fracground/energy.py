@@ -85,40 +85,53 @@ def _check_state(state: StatePair, problem: ProblemSpec) -> None:
         raise GridMismatch("state and problem live on different grids")
 
 
+def _quadratic_parts(state: StatePair, problem: ProblemSpec) -> tuple:
+    """(Q1(u), Q2(v), 2 int lambda u v): the pieces of the energy that cost
+    transforms.  Each is quadratic in the pair, so for the scaled pair t x
+    they are t^2 times these, with no new transforms."""
+    dV = problem.grid.cell_volume
+    u, v = state.u.values, state.v.values
+    return (
+        hs_quadratic_form(state.u, problem.s1, problem.V1_field),
+        hs_quadratic_form(state.v, problem.s2, problem.V2_field),
+        2.0 * dV * float(np.sum(problem.coupling_field.values * u * v)),
+    )
+
+
+def _energy_parts(quad: tuple, state: StatePair, problem: ProblemSpec) -> EnergyBreakdown:
+    """The breakdown of a pair whose quadratic pieces are already known."""
+    dV = problem.grid.cell_volume
+    quad_u, quad_v, coupling_term = quad
+    F1_integral = dV * float(np.sum(problem.nl1.F(state.u.values)))
+    F2_integral = dV * float(np.sum(problem.nl2.F(state.v.values)))
+    total = 0.5 * (quad_u + quad_v - coupling_term) - F1_integral - F2_integral
+    return EnergyBreakdown(quad_u, quad_v, coupling_term, F1_integral, F2_integral, total)
+
+
+def _nonlinear_pairing(state: StatePair, problem: ProblemSpec) -> float:
+    """int f1(u) u + f2(v) v."""
+    u, v = state.u.values, state.v.values
+    return problem.grid.cell_volume * float(
+        np.sum(problem.nl1.f(u) * u) + np.sum(problem.nl2.f(v) * v)
+    )
+
+
 def energy(state: StatePair, problem: ProblemSpec) -> EnergyBreakdown:
     """Evaluate the functional and its term-by-term breakdown."""
     _check_state(state, problem)
-    g = problem.grid
-    dV = g.cell_volume
-    u, v = state.u.values, state.v.values
-    quad_u = hs_quadratic_form(state.u, problem.s1, problem.V1_field)
-    quad_v = hs_quadratic_form(state.v, problem.s2, problem.V2_field)
-    coupling_term = 2.0 * dV * float(np.sum(problem.coupling_field.values * u * v))
-    F1_integral = dV * float(np.sum(problem.nl1.F(u)))
-    F2_integral = dV * float(np.sum(problem.nl2.F(v)))
-    total = 0.5 * (quad_u + quad_v - coupling_term) - F1_integral - F2_integral
-    return EnergyBreakdown(quad_u, quad_v, coupling_term, F1_integral, F2_integral, total)
+    return _energy_parts(_quadratic_parts(state, problem), state, problem)
 
 
 def coupled_quadratic(state: StatePair, problem: ProblemSpec) -> float:
     """Q(u, v) = Q1(u) + Q2(v) - 2 int lambda u v."""
     _check_state(state, problem)
-    dV = problem.grid.cell_volume
-    u, v = state.u.values, state.v.values
-    quad_u = hs_quadratic_form(state.u, problem.s1, problem.V1_field)
-    quad_v = hs_quadratic_form(state.v, problem.s2, problem.V2_field)
-    return quad_u + quad_v - 2.0 * dV * float(np.sum(problem.coupling_field.values * u * v))
+    quad_u, quad_v, coupling_term = _quadratic_parts(state, problem)
+    return quad_u + quad_v - coupling_term
 
 
 def nehari_value(state: StatePair, problem: ProblemSpec) -> float:
     """<I'(u,v), (u,v)>: the ray-constraint residual."""
-    _check_state(state, problem)
-    dV = problem.grid.cell_volume
-    u, v = state.u.values, state.v.values
-    nonlinear = dV * float(
-        np.sum(problem.nl1.f(u) * u) + np.sum(problem.nl2.f(v) * v)
-    )
-    return coupled_quadratic(state, problem) - nonlinear
+    return coupled_quadratic(state, problem) - _nonlinear_pairing(state, problem)
 
 
 def gradient(
@@ -128,25 +141,27 @@ def gradient(
 
     The preconditioner divides Fourier coefficients by |xi|^(2si) + mean(Vi),
     a positive symbol that tames the stiffness of the fractional operator
-    without changing the set of stationary points.
+    without changing the set of stationary points.  It is applied in the
+    same inverse transform as the operator, so a preconditioned component
+    costs three real transforms and a plain one two.
     """
     _check_state(state, problem)
     g = problem.grid
-    u, v = state.u.values, state.v.values
     lam = problem.coupling_field.values
-    sym1 = g.symbol(problem.s1)
-    sym2 = g.symbol(problem.s2)
-
-    gu = sfft.ifftn(sym1 * sfft.fftn(u)).real
-    gu += problem.V1_field.values * u - problem.nl1.f(u) - lam * v
-    gv = sfft.ifftn(sym2 * sfft.fftn(v)).real
-    gv += problem.V2_field.values * v - problem.nl2.f(v) - lam * u
-
-    if preconditioned:
-        gu = sfft.ifftn(sfft.fftn(gu) / (sym1 + problem.mean_potential(1))).real
-        gv = sfft.ifftn(sfft.fftn(gv) / (sym2 + problem.mean_potential(2))).real
-
-    return StatePair(Field(g, gu), Field(g, gv))
+    out = []
+    for which, w, other, s, V, nl in (
+        (1, state.u.values, state.v.values, problem.s1, problem.V1_field, problem.nl1),
+        (2, state.v.values, state.u.values, problem.s2, problem.V2_field, problem.nl2),
+    ):
+        sym = g.symbol(s)
+        local = V.values * w - nl.f(w) - lam * other
+        if preconditioned:
+            spectrum = sym * sfft.rfftn(w) + sfft.rfftn(local)
+            gw = sfft.irfftn(spectrum / (sym + problem.mean_potential(which)), s=g.shape)
+        else:
+            gw = sfft.irfftn(sym * sfft.rfftn(w), s=g.shape) + local
+        out.append(Field(g, gw))
+    return StatePair(*out)
 
 
 def l2_norm_pair(state: StatePair) -> float:

@@ -81,19 +81,23 @@ class Grid:
         return cache["coords"]
 
     def sq_wavenumber(self) -> np.ndarray:
-        """|xi|^2 on the full FFT layout."""
+        """|xi|^2 on the half spectrum of ``rfftn``: the last axis keeps
+        modes 0..n/2."""
         cache = self._cache
         if "k2" not in cache:
-            k2 = np.zeros(self.shape)
+            k2 = np.zeros(self.shape[:-1] + (self.n_per_axis // 2 + 1,))
             for axis, w in enumerate(self.wavenumbers):
+                if axis == self.dim - 1:
+                    # fftfreq puts mode n/2 at -n/2: the same square
+                    w = w[: self.n_per_axis // 2 + 1]
                 shape = [1] * self.dim
-                shape[axis] = self.n_per_axis
+                shape[axis] = w.size
                 k2 = k2 + (w**2).reshape(shape)
             cache["k2"] = k2
         return cache["k2"]
 
     def symbol(self, s: float) -> np.ndarray:
-        """Multiplier |xi|^(2s); the zero mode maps to 0."""
+        """Multiplier |xi|^(2s) on the half spectrum; the zero mode maps to 0."""
         cache = self._cache
         key = ("sym", float(s))
         if key not in cache:
@@ -162,13 +166,14 @@ def apply_frac_laplacian(u: Field, s: float) -> Field:
 
     s must lie in (0, 1]; s = 1 reproduces the spectral classical
     Laplacian, fractional orders interpolate between identity-like and
-    second-order behaviour per Fourier mode.
+    second-order behaviour per Fourier mode.  The field is real, so only
+    the half spectrum of a real transform is computed.
     """
     if not (0.0 < s <= 1.0):
         raise ValueError(f"fractional order s must be in (0, 1], got {s}")
-    uh = sfft.fftn(u.values)
-    out = sfft.ifftn(u.grid.symbol(s) * uh).real
-    return Field(u.grid, out)
+    g = u.grid
+    out = sfft.irfftn(g.symbol(s) * sfft.rfftn(u.values), s=g.shape)
+    return Field(g, out)
 
 
 def integrate(w: Field) -> float:

@@ -179,7 +179,8 @@ def perturbation_values(spec: ScalarFunctionSpec, grid: Grid):
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Superlinear nonlinearity f with primitive F and nq(t) = f(t)t - 2F(t).
+    """Superlinear nonlinearity f with derivative df, primitive F and
+    nq(t) = f(t)t - 2F(t).
 
     kinds:
       log_power   f(t) = t * ln(1+t)^gamma for t > 0, gamma >= 1
@@ -214,6 +215,21 @@ class NonlinearitySpec:
             out = pos ** (self.p - 1.0)
         else:
             out = pos * np.log1p(pos) ** self.gamma
+        return out if out.ndim else float(out)
+
+    def df(self, t):
+        """Derivative f'(t); accepts scalars or arrays, 0 on t <= 0.
+
+        log_power: ln(1+t)^gamma + gamma t ln(1+t)^(gamma-1) / (1+t), a sum
+        of nonnegative terms, so it loses no digits.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        pos = np.maximum(t, 0.0)
+        if self.kind == "pure_power":
+            out = (self.p - 1.0) * pos ** (self.p - 2.0)
+        else:
+            L = np.log1p(pos)
+            out = L**self.gamma + self.gamma * pos * L ** (self.gamma - 1.0) / (1.0 + pos)
         return out if out.ndim else float(out)
 
     def F(self, t):

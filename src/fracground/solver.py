@@ -1,15 +1,20 @@
 """Ground-state computation by projected descent on the ray constraint.
 
 Each iterate is kept on the natural constraint set (nehari_value = 0) by a
-one-dimensional projection along its own ray: t -> nehari_value(t x)/t^2 is
-strictly decreasing for admissible nonlinearities, so the projection scalar
-is the unique zero of a monotone function and bracketing plus bisection is
-exact enough for the stated tolerances.  The outer iteration is a
-preconditioned gradient descent with a backtracking line search on the
-projected energy; convergence requires both energy stagnation and a small
-preconditioned gradient residual.  Near a minimizer the energy is flat to
-within its own rounding, so there a full step is also accepted when it
-raises the energy by no more than that rounding and lowers the residual.
+one-dimensional projection along its own ray.  With Q the pair's quadratic
+form and N(t) = int f1(tu) tu + f2(tv) tv, the scale t solves N(t)/t^2 = Q;
+N(t)/t^2 is strictly increasing for admissible nonlinearities, so the root
+is unique.  Pure powers of one exponent give it in closed form; otherwise a
+safeguarded Newton iteration on ln(N(t)/t^2) against ln t finds it in a
+few evaluations of f and f' on the positive samples.  The quadratic form is
+quadratic along the ray, so a projected pair's quadratic pieces are t^2
+times those of the unprojected one and need no new transforms.  The outer
+iteration is a preconditioned gradient descent with a backtracking line
+search on the projected energy; convergence requires both energy
+stagnation and a small preconditioned gradient residual.  Near a minimizer
+the energy is flat to within its own rounding, so there a full step is also
+accepted when it raises the energy by no more than that rounding and lowers
+the residual.
 """
 
 from __future__ import annotations
@@ -21,14 +26,15 @@ import numpy as np
 from scipy import fft as sfft
 
 from .energy import (
-    DEFAULT_NEHARI_TOL,
     EnergyBreakdown,
     StatePair,
+    _energy_parts,
+    _nonlinear_pairing,
+    _quadratic_parts,
     coupled_quadratic,
     energy,
     gradient,
     l2_norm_pair,
-    nehari_value,
 )
 from .grid import Field, Grid, hs_quadratic_form
 from .model import ProblemSpec, ValidationFailed, gaussian_bump, validate_assumptions
@@ -54,10 +60,16 @@ _STEP_FLOOR = 1.0e-14
 # ulps of rounding, and on the constraint set they cancel to several times
 # less than their size.
 _ENERGY_ROUNDING_ULPS = 16.0
-# Bracket expansion gives up past t = 2^60.
+# The ray scale is sought in [2^-60, 2^60]; outside it the projection fails.
 _MAX_DOUBLINGS = 60
-_BISECT_ITERS = 60
-_BISECT_RELWIDTH = 1.0e-14
+_T_MAX = 2.0**_MAX_DOUBLINGS
+# Newton on the ray stops after a step of at most this relative size (the
+# error left after it is of order its square), or fails after so many
+# evaluations; bisection alone needs about 36 to cross the whole range.
+_NEWTON_RELSTEP = 1.0e-9
+_NEWTON_ITERS = 100
+_NO_ROOT_BELOW = "no sign change along the ray below t = 2^60"
+_NO_ROOT_ABOVE = "no sign change along the ray above t = 2^-60"
 
 
 class NotInEPlus(ValueError):
@@ -117,62 +129,115 @@ def _require_valid(problem: ProblemSpec) -> None:
         raise ValidationFailed(f"validation failed: {names}")
 
 
-def nehari_project(state: StatePair, problem: ProblemSpec) -> tuple:
+def nehari_project(state: StatePair, problem: ProblemSpec, *, quad: tuple | None = None) -> tuple:
     """Scale a pair onto the constraint set.
 
-    Returns (t0, scaled_state) with nehari_value(scaled_state) ~ 0.  The
-    zero is bracketed by doubling/halving from t = 1 and then bisected;
-    monotonicity of nehari_value(t x)/t^2 makes the root unique.
+    Returns (t0, scaled_state) with nehari_value(scaled_state) ~ 0.  t0 is
+    the unique root of N(t)/t^2 = Q (see the module docstring): in closed
+    form when every component with a positive part is a pure power of one
+    exponent p, t0 = (Q / int(u+^p + v+^p))^(1/(p-2)); otherwise by
+    safeguarded Newton from t = 1.  ``quad`` may carry the pair's quadratic
+    pieces (Q1(u), Q2(v), 2 int lambda u v) when the caller already has
+    them.  Raises NotInEPlus without a positive part and BracketFailure when
+    Q <= 0 or no root lies in [2^-60, 2^60].
     """
     if not state.has_positive_part():
         raise NotInEPlus("state has no positive part in either component")
-    Q = coupled_quadratic(state, problem)
-    if Q <= 0.0:
+    if quad is None:
+        Q = coupled_quadratic(state, problem)
+    else:
+        Q = quad[0] + quad[1] - quad[2]
+    if not 0.0 < Q < np.inf:
         raise BracketFailure(
             f"coupled quadratic form is {Q:.3g}; no projection exists"
         )
-    dV = problem.grid.cell_volume
-    u, v = state.u.values, state.v.values
-    f1, f2 = problem.nl1.f, problem.nl2.f
-
-    def slope(t: float) -> float:
-        # nehari_value(t x) / t^2
-        a = t * u
-        b = t * v
-        nonlinear = dV * float(np.sum(f1(a) * a) + np.sum(f2(b) * b))
-        return Q - nonlinear / (t * t)
-
-    t_lo = t_hi = 1.0
-    s1 = slope(1.0)
-    if s1 > 0.0:
-        for _ in range(_MAX_DOUBLINGS):
-            t_hi *= 2.0
-            if slope(t_hi) < 0.0:
-                break
-        else:
-            raise BracketFailure("no sign change along the ray below t = 2^60")
-        t_lo = 0.5 * t_hi
-    elif s1 < 0.0:
-        for _ in range(_MAX_DOUBLINGS):
-            t_lo *= 0.5
-            if slope(t_lo) > 0.0:
-                break
-        else:
-            raise BracketFailure("no sign change along the ray above t = 2^-60")
-        t_hi = 2.0 * t_lo
-    else:
-        return 1.0, state
-
-    for _ in range(_BISECT_ITERS):
-        if t_hi - t_lo <= _BISECT_RELWIDTH * t_lo:
-            break
-        mid = 0.5 * (t_lo + t_hi)
-        if slope(mid) > 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    t0 = 0.5 * (t_lo + t_hi)
+    t0 = _ray_scale(state, problem, Q)
     return t0, state.scaled(t0)
+
+
+def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
+    """The root t of N(t)/t^2 = Q for a pair with a positive part and Q > 0.
+
+    f vanishes on t <= 0, so only positive samples enter N.  Newton works on
+    h(ln t) = ln(N(t) / (t^2 Q)), whose slope is
+    t^3 (N/t^2)' / N = int (f'(x) x - f(x)) x / int f(x) x  over x = t u, t v:
+    for a pure power h is linear, so one step lands on the root.  The
+    evaluated points keep a bracket lo < root < hi; a step that leaves it,
+    or that h cannot give (N underflows or overflows), goes instead to the
+    unevaluated end of the range, or bisects ln t once both ends are known.
+    """
+    dV = problem.grid.cell_volume
+    parts = [
+        (nl, vals[vals > 0.0])
+        for nl, vals in ((problem.nl1, state.u.values), (problem.nl2, state.v.values))
+    ]
+    parts = [(nl, x) for nl, x in parts if x.size]
+    exponents = {nl.p if nl.kind == "pure_power" else None for nl, _ in parts}
+
+    if len(exponents) == 1 and None not in exponents:
+        p = exponents.pop()
+        with np.errstate(over="ignore"):
+            S = dV * sum(float(np.sum(nl.f(x) * x)) for nl, x in parts)
+        # S underflows to 0 (or overflows) only far outside the range
+        t = (Q / S) ** (1.0 / (p - 2.0)) if S > 0.0 else np.inf
+        if t > _T_MAX:
+            raise BracketFailure(_NO_ROOT_BELOW)
+        if t < 1.0 / _T_MAX:
+            raise BracketFailure(_NO_ROOT_ABOVE)
+        return t
+
+    def log_ratio(t: float) -> tuple:
+        # h = ln(N(t) / (t^2 Q)) and its slope in ln t; the slope is nan
+        # where N underflows or overflows and h is -inf or +inf
+        N = D = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for nl, x in parts:
+                y = t * x
+                fy = nl.f(y)
+                N += float(np.sum(fy * y))
+                D += float(np.sum((nl.df(y) * y - fy) * y))
+        ratio = dV * N / Q / t / t
+        if ratio == 0.0 or ratio == np.inf:
+            return (-np.inf if ratio == 0.0 else np.inf), np.nan
+        return float(np.log(ratio)), D / N
+
+    lo, hi = 1.0 / _T_MAX, _T_MAX
+    lo_known = hi_known = False
+    t = 1.0
+    for _ in range(_NEWTON_ITERS):
+        h, slope = log_ratio(t)
+        if h == 0.0:
+            return t
+        if h < 0.0:
+            if t >= _T_MAX:
+                raise BracketFailure(_NO_ROOT_BELOW)
+            lo, lo_known = t, True
+        else:
+            if t <= 1.0 / _T_MAX:
+                raise BracketFailure(_NO_ROOT_ABOVE)
+            hi, hi_known = t, True
+        step = -h / slope if 0.0 < slope < np.inf else np.nan
+        t_new = t * np.exp(np.clip(step, -200.0, 200.0))
+        if abs(t_new - t) <= _NEWTON_RELSTEP * t:
+            # at the root the bracket may have shrunk below this step
+            return float(t_new)
+        if not lo < t_new < hi:
+            t_new = hi if not hi_known else lo if not lo_known else np.sqrt(lo * hi)
+        t = float(t_new)
+    raise BracketFailure(f"Newton on the ray did not settle in {_NEWTON_ITERS} steps")
+
+
+def _project(trial: StatePair, problem: ProblemSpec) -> tuple:
+    """(t0, projected pair, its energy breakdown) of a trial pair.
+
+    The trial's quadratic pieces are computed once: they give the
+    projection its Q and, times t0^2, the projected pair's quadratic
+    pieces, so only the F integrals are evaluated at the projected pair.
+    """
+    quad = _quadratic_parts(trial, problem)
+    t0, projected = nehari_project(trial, problem, quad=quad)
+    t2 = t0 * t0
+    return t0, projected, _energy_parts(tuple(t2 * q for q in quad), projected, problem)
 
 
 def default_initial_state(problem: ProblemSpec, rng: np.random.Generator) -> StatePair:
@@ -193,20 +258,21 @@ def _positive_fraction(values: np.ndarray) -> float:
 
 def _finish_report(
     state: StatePair,
+    grad: StatePair,
     problem: ProblemSpec,
     iterations: int,
     converged: bool,
     stalled: bool,
     t_history: list,
 ) -> SolveReport:
-    level = energy(state, problem).total
-    Q = coupled_quadratic(state, problem)
-    nres = abs(nehari_value(state, problem)) / Q if Q > 0.0 else np.inf
+    parts = energy(state, problem)
+    Q = parts.quad_u + parts.quad_v - parts.coupling_term
+    nres = abs(Q - _nonlinear_pairing(state, problem)) / Q if Q > 0.0 else np.inf
     return SolveReport(
         state=state,
-        level=level,
+        level=parts.total,
         nehari_residual=nres,
-        gradient_residual=_gradient_residual(state, problem),
+        gradient_residual=_residual(grad, state),
         iterations=iterations,
         positive_fraction_u=_positive_fraction(state.u.values),
         positive_fraction_v=_positive_fraction(state.v.values),
@@ -230,50 +296,49 @@ def solve_ground_state(
     if not init.has_positive_part():
         raise NotInEPlus("initial state has no positive part in either component")
 
-    t0, state = nehari_project(init, problem)
+    t0, state, parts = _project(init, problem)
     t_history = [t0]
-    E = energy(state, problem).total
+    E = parts.total
+    grad = gradient(state, problem, preconditioned=True)
     last_decrease = np.inf
     converged = False
     stalled = False
     iterations = 0
 
     for _ in range(opts.max_iters):
-        g = gradient(state, problem, preconditioned=True)
-        residual = l2_norm_pair(g) / l2_norm_pair(state)
+        residual = _residual(grad, state)
         if last_decrease < opts.tol_energy and residual < opts.tol_residual:
             converged = True
             break
 
         eta = opts.step_init
         accepted = False
+        cand_grad = None
         while eta >= _STEP_FLOOR * opts.step_init:
-            cu = state.u.values - eta * g.u.values
-            cv = state.v.values - eta * g.v.values
+            cu = state.u.values - eta * grad.u.values
+            cv = state.v.values - eta * grad.v.values
             if opts.positivity_clip:
                 cu = np.maximum(cu, 0.0)
                 cv = np.maximum(cv, 0.0)
             try:
-                t0, cand = nehari_project(
+                t0, cand, parts = _project(
                     StatePair(Field(problem.grid, cu), Field(problem.grid, cv)),
                     problem,
                 )
             except (NotInEPlus, BracketFailure):
                 eta *= opts.backtrack_factor
                 continue
-            parts = energy(cand, problem)
             Ec = parts.total
             if Ec < E:
                 accepted = True
                 break
-            if (
-                eta == opts.step_init
-                and Ec <= E + _energy_rounding(parts)
-                and _gradient_residual(cand, problem) < residual
-            ):
+            if eta == opts.step_init and Ec <= E + _energy_rounding(parts):
                 # the energy cannot resolve this step; the residual can
-                accepted = True
-                break
+                cand_grad = gradient(cand, problem, preconditioned=True)
+                if _residual(cand_grad, cand) < residual:
+                    accepted = True
+                    break
+                cand_grad = None
             eta *= opts.backtrack_factor
 
         if not accepted:
@@ -288,15 +353,18 @@ def solve_ground_state(
 
         last_decrease = (E - Ec) / max(abs(E), abs(Ec), 1.0e-300)
         state, E = cand, Ec
+        if cand_grad is None:
+            cand_grad = gradient(state, problem, preconditioned=True)
+        grad = cand_grad
         iterations += 1
         t_history.append(t0)
 
-    return _finish_report(state, problem, iterations, converged, stalled, t_history)
+    return _finish_report(state, grad, problem, iterations, converged, stalled, t_history)
 
 
-def _gradient_residual(state: StatePair, problem: ProblemSpec) -> float:
-    g = gradient(state, problem, preconditioned=True)
-    return l2_norm_pair(g) / l2_norm_pair(state)
+def _residual(grad: StatePair, state: StatePair) -> float:
+    """Relative size of a pair's preconditioned gradient."""
+    return l2_norm_pair(grad) / l2_norm_pair(state)
 
 
 def _energy_rounding(parts: EnergyBreakdown) -> float:
@@ -353,7 +421,7 @@ def _smooth_random_field(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     noise = rng.standard_normal(grid.shape)
     scale = (grid.box_length / 16.0) ** 2
     filt = np.exp(-scale * grid.sq_wavenumber())
-    return sfft.ifftn(filt * sfft.fftn(noise)).real
+    return sfft.irfftn(filt * sfft.rfftn(noise), s=grid.shape)
 
 
 @dataclass

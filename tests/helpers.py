@@ -69,3 +69,14 @@ def smooth_pair(problem, seed, positive=True):
             vals = vals - vals.min() + 0.1
         parts.append(Field(grid, vals))
     return StatePair(u=parts[0], v=parts[1])
+
+
+def full_symbol(grid, s):
+    """|xi|^(2s) on the full complex FFT layout, built independently of the
+    library's half-spectrum cache."""
+    sq = np.zeros(grid.shape)
+    for axis, w in enumerate(grid.wavenumbers):
+        shape = [1] * grid.dim
+        shape[axis] = grid.n_per_axis
+        sq = sq + (w.reshape(shape)) ** 2
+    return sq**s

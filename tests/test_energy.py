@@ -19,7 +19,7 @@ from fracground import (
     make_grid,
     nehari_value,
 )
-from helpers import constant_problem, constant_spec, smooth_pair
+from helpers import constant_problem, constant_spec, full_symbol, smooth_pair
 
 
 def _trig_fixture(n=64):
@@ -289,3 +289,25 @@ def test_energy_respects_periodic_reference_flag():
     # the lowered potential strictly lowers the quadratic part for any
     # state that is nonzero near the center
     assert full < ref
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize(
+    "dim,n,s,kind", [(1, 64, 0.3, "log_power"), (2, 32, 0.5, "log_power"), (3, 16, 0.8, "pure_power")]
+)
+def test_gradient_real_transform_matches_complex_reference(dim, n, s, kind, preconditioned):
+    # the real-transform gradient, with the preconditioner folded into the
+    # operator's inverse transform, against the two-stage complex formula
+    prob = constant_problem(dim=dim, n=n, s=s, nl_kind=kind)
+    state = smooth_pair(prob, 3, positive=False)
+    lam = prob.coupling_field.values
+    for w, other, V, nl, which, got in (
+        (state.u.values, state.v.values, prob.V1_field.values, prob.nl1, 1, "u"),
+        (state.v.values, state.u.values, prob.V2_field.values, prob.nl2, 2, "v"),
+    ):
+        sym = full_symbol(prob.grid, s)
+        ref = np.fft.ifftn(sym * np.fft.fftn(w)).real + V * w - nl.f(w) - lam * other
+        if preconditioned:
+            ref = np.fft.ifftn(np.fft.fftn(ref) / (sym + prob.mean_potential(which))).real
+        out = getattr(gradient(state, prob, preconditioned=preconditioned), got).values
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -155,6 +155,29 @@ def test_log_power_matches_high_precision_reference(gamma):
             assert abs(nl.nq(t) - nq_ref) <= 1e-14 * nq_ref, t
 
 
+@pytest.mark.parametrize(
+    "nl",
+    [NonlinearitySpec(kind="log_power", gamma=g) for g in (1.0, 1.5, 2.0, 3.0)]
+    + [NonlinearitySpec(kind="pure_power", p=p) for p in (2.5, 3.0, 4.0, 6.0)],
+    ids=lambda nl: f"{nl.kind}-{nl.gamma if nl.kind == 'log_power' else nl.p}",
+)
+def test_df_matches_high_precision_derivative(nl):
+    mp = pytest.importorskip("mpmath")
+    if nl.kind == "log_power":
+        def f(x):
+            return x * mp.log1p(x) ** nl.gamma
+    else:
+        def f(x):
+            return x ** (nl.p - 1)
+    ts = np.geomspace(1e-8, 1e6, 29)
+    with mp.workdps(40):
+        for t in ts:
+            ref = mp.diff(f, mp.mpf(float(t)))
+            assert abs(nl.df(t) - ref) <= 1e-13 * abs(ref), t
+    assert np.allclose(nl.df(ts), [nl.df(t) for t in ts], rtol=1e-15, atol=0.0)
+    assert nl.df(0.0) == 0.0 and nl.df(-2.0) == 0.0
+
+
 def test_nonlinearity_spec_validation():
     with pytest.raises(ValueError, match="gamma"):
         NonlinearitySpec(kind="log_power", gamma=0.5)

@@ -8,6 +8,7 @@ import pytest
 from fracground import (
     BracketFailure,
     Field,
+    NonlinearitySpec,
     NotInEPlus,
     SolverOptions,
     StatePair,
@@ -22,6 +23,7 @@ from fracground import (
     solve_scalar_ground_state,
     solve_with_restarts,
 )
+from fracground import solver
 from helpers import constant_problem, smooth_pair
 
 
@@ -94,6 +96,152 @@ def test_projection_fails_when_quadratic_form_degenerate():
     assert coupled_quadratic(same, prob) < 0.0
     with pytest.raises(BracketFailure):
         nehari_project(same, prob)
+
+
+LOG1 = NonlinearitySpec(kind="log_power", gamma=1.0)
+QUARTIC = NonlinearitySpec(kind="pure_power", p=4.0)
+CUBIC = NonlinearitySpec(kind="pure_power", p=3.0)
+
+
+def _spike_state(prob, amplitude, both):
+    """Zero pair except for one sample of u (and of v) at the amplitude."""
+    g = prob.grid
+    u = np.zeros(g.shape)
+    v = np.zeros(g.shape)
+    u[3, 5] = amplitude
+    if both:
+        v[7, 2] = amplitude
+    return StatePair(Field(g, u), Field(g, v))
+
+
+@pytest.mark.parametrize(
+    "amplitude,end", [(1e-100, r"below t = 2\^60"), (1e150, r"above t = 2\^-60")]
+)
+@pytest.mark.parametrize(
+    "nl1,nl2,both",
+    [(QUARTIC, QUARTIC, False), (LOG1, LOG1, False), (LOG1, CUBIC, True)],
+    ids=["pure_power-closed_form", "log_power-newton", "mixed-newton"],
+)
+def test_projection_fails_typed_without_sign_change(nl1, nl2, both, amplitude, end):
+    # Q > 0, but the ray's root lies far outside [2^-60, 2^60], near
+    # 1 / amplitude: at 1e-100 int f(tu) tu underflows to 0 at t = 1, at
+    # 1e150 it overflows
+    prob = dataclasses.replace(constant_problem(), nl1=nl1, nl2=nl2)
+    state = _spike_state(prob, amplitude, both)
+    assert 0.0 < coupled_quadratic(state, prob) < np.inf
+    with pytest.raises(BracketFailure, match=end):
+        nehari_project(state, prob)
+
+
+def test_projection_newton_needs_few_evaluations(monkeypatch):
+    # from the initial bump (t ~ 10) and along a solve (t ~ 1)
+    prob = constant_problem()
+    evaluations = []
+    df = NonlinearitySpec.df
+
+    def counted(self, t):
+        evaluations[-1] += 1
+        return df(self, t)
+
+    project = solver.nehari_project
+
+    def tally(*args, **kwargs):
+        evaluations.append(0)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(NonlinearitySpec, "df", counted)
+    monkeypatch.setattr(solver, "nehari_project", tally)
+    rep = solve_ground_state(prob, opts=FAST)
+    assert rep.converged
+    per_projection = np.array(evaluations) / 2  # one df call per component
+    assert per_projection.max() <= 8
+    assert per_projection.mean() <= 4
+
+
+def _nonlinearities():
+    from hypothesis import strategies as st
+
+    return st.one_of(
+        st.sampled_from([1.0, 1.5, 3.0]).map(
+            lambda g: NonlinearitySpec(kind="log_power", gamma=g)
+        ),
+        st.floats(2.5, 4.0).map(lambda p: NonlinearitySpec(kind="pure_power", p=p)),
+    )
+
+
+def test_projection_properties():
+    # residual and scale covariance t(c x) c = t(x) for log_power, pure
+    # powers of unequal exponents (Newton), equal ones (closed form) and
+    # mixed pairs, on positive and sign-changing pairs over six decades of c
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(
+        max_examples=60, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(
+        nl1=_nonlinearities(),
+        nl2=_nonlinearities(),
+        seed=st.integers(0, 2**16),
+        positive=st.booleans(),
+        log_c=st.floats(-3.0, 3.0),
+    )
+    def check(nl1, nl2, seed, positive, log_c):
+        prob = dataclasses.replace(constant_problem(n=16), nl1=nl1, nl2=nl2)
+        x = smooth_pair(prob, seed, positive=positive)
+        c = 10.0**log_c
+        t, proj = nehari_project(x, prob)
+        assert abs(nehari_value(proj, prob)) <= 1e-12 * coupled_quadratic(proj, prob)
+        tc, proj_c = nehari_project(x.scaled(c), prob)
+        assert abs(nehari_value(proj_c, prob)) <= 1e-12 * coupled_quadratic(proj_c, prob)
+        assert abs(tc * c - t) <= 1e-12 * t
+
+    check()
+
+
+@pytest.mark.parametrize("nl", [LOG1, QUARTIC], ids=["log_power", "pure_power"])
+def test_line_search_energy_from_scaled_pieces(nl):
+    # the projected candidate's energy reuses the trial's quadratic pieces,
+    # scaled by t^2; it must agree with a fresh evaluation
+    prob = dataclasses.replace(constant_problem(s=0.8), nl1=nl, nl2=nl)
+    for seed in range(4):
+        trial = smooth_pair(prob, seed, positive=seed % 2 == 0).scaled(0.3 + seed)
+        t0, cand, parts = solver._project(trial, prob)
+        fresh = energy(cand, prob)
+        assert t0 == nehari_project(trial, prob)[0]
+        assert abs(parts.total - fresh.total) <= 1e-13 * abs(fresh.total)
+        scale = fresh.quad_u + fresh.quad_v
+        for name in ("quad_u", "quad_v", "coupling_term"):
+            assert abs(getattr(parts, name) - getattr(fresh, name)) <= 1e-13 * scale
+        assert parts.F1_integral == fresh.F1_integral
+        assert parts.F2_integral == fresh.F2_integral
+
+
+def test_solve_computes_each_gradient_once(monkeypatch):
+    # the flat-step fallback's gradient of an accepted candidate is reused
+    # by the next iteration and by the report; an unreachable tolerance
+    # drives the solve into that fallback
+    seen = []
+    flat_checks = []
+    grad = solver.gradient
+    rounding = solver._energy_rounding
+
+    def recorded(state, problem, preconditioned=False):
+        seen.append(state.u.values)
+        return grad(state, problem, preconditioned)
+
+    def counted(parts):
+        flat_checks.append(1)
+        return rounding(parts)
+
+    monkeypatch.setattr(solver, "gradient", recorded)
+    monkeypatch.setattr(solver, "_energy_rounding", counted)
+    opts = SolverOptions(max_iters=4000, tol_residual=1e-300)
+    rep = solve_ground_state(constant_problem(n=16), opts=opts)
+    assert rep.stalled
+    assert flat_checks
+    assert len({id(a) for a in seen}) == len(seen)
+    assert len(seen) >= rep.iterations + 1
 
 
 # ---------------------------------------------------------------------------
