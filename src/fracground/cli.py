@@ -23,7 +23,7 @@ from .experiments import (
     decoupling_limit,
     write_sweep_csv,
 )
-from .grid import make_grid, write_field
+from .grid import Grid, _RuleError, make_grid, write_field
 from .model import (
     NonlinearitySpec,
     ProblemSpec,
@@ -35,6 +35,8 @@ from .solver import (
     BracketFailure,
     NotInEPlus,
     SolverOptions,
+    _best_of,
+    _check_which,
     mountain_pass_diagnostics,
     solve_ground_state,
     solve_scalar_ground_state,
@@ -82,101 +84,83 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(part.strip()) for part in text.split(","))
 
 
-def _power_of_two(n: int) -> bool:
-    return n >= 8 and (n & (n - 1)) == 0
-
-
-def _check_n(n):
-    if not _power_of_two(n):
-        raise ValueError(f"n must be a power of two >= 8, got {n}")
-
-
-def _check_dim(d):
-    if d not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2, or 3, got {d}")
-
-
-def _check_positive(x):
-    if not x > 0.0:
-        raise ValueError(f"expected a positive value, got {x}")
-
-
-def _check_s(s):
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"fractional order must lie in (0, 1], got {s}")
-
-
-def _check_kind(k):
-    if k not in ("constant", "periodic_trig", "periodic_plus_perturbation"):
-        raise ValueError(f"unknown function kind {k!r}")
-
-
-def _check_nl_kind(k):
-    if k not in ("log_power", "pure_power"):
-        raise ValueError(f"unknown nonlinearity kind {k!r}")
-
-
-def _check_which(w):
-    if w not in (1, 2):
-        raise ValueError(f"scalar.which must be 1 or 2, got {w}")
-
-
-def _check_unit(x):
-    if not (0.0 < x <= 1.0):
-        raise ValueError(f"expected a value in (0, 1], got {x}")
-
-
-_REQUIRED = object()
-
-
-def _function_keys(prefix: str) -> dict:
-    return {
-        f"{prefix}.kind": (str, _REQUIRED, _check_kind),
-        f"{prefix}.base": (float, 0.0, None),
-        f"{prefix}.trig_amplitude": (float, 0.0, None),
-        f"{prefix}.trig_periods": (_parse_int_list, (1,), None),
-        f"{prefix}.perturbation_amplitude": (float, 0.0, None),
-        f"{prefix}.perturbation_width": (float, 1.0, _check_positive),
-    }
-
-
-def _schema() -> dict:
-    schema = {
-        "dim": (int, _REQUIRED, _check_dim),
-        "n": (int, _REQUIRED, _check_n),
-        "L": (float, _REQUIRED, _check_positive),
-        "s1": (float, _REQUIRED, _check_s),
-        "s2": (float, _REQUIRED, _check_s),
-        "periodic_reference": (_parse_bool, False, None),
-        "nl1.kind": (str, _REQUIRED, _check_nl_kind),
-        "nl1.gamma": (float, 1.0, None),
-        "nl1.p": (float, 4.0, None),
-        "nl2.kind": (str, _REQUIRED, _check_nl_kind),
-        "nl2.gamma": (float, 1.0, None),
-        "nl2.p": (float, 4.0, None),
-        "solver.max_iters": (int, 5000, _check_positive),
-        "solver.step_init": (float, 1.0, _check_positive),
-        "solver.backtrack_factor": (float, 0.5, _check_unit),
-        "solver.tol_energy": (float, 1.0e-10, _check_positive),
-        "solver.tol_residual": (float, 1.0e-8, _check_positive),
-        "solver.seed": (int, 0, None),
-        "solver.positivity_clip": (_parse_bool, True, None),
-        "sweep.scales": (_parse_float_list, (0.2, 0.4, 0.6, 0.8), None),
-        "limit.scales": (_parse_float_list, (0.5, 0.25, 0.1, 0.05, 0.01), None),
-        "scalar.which": (int, 1, _check_which),
-    }
-    for prefix in ("V1", "V2", "coupling"):
-        schema.update(_function_keys(prefix))
-    return schema
-
-
 @dataclass(frozen=True)
 class ParsedConfig:
     problem: ProblemSpec
     options: SolverOptions
-    sweep_scales: tuple
-    limit_scales: tuple
-    scalar_which: int
+    sweep_scales: tuple = (0.2, 0.4, 0.6, 0.8)
+    limit_scales: tuple = (0.5, 0.25, 0.1, 0.05, 0.01)
+    scalar_which: int = 1
+
+    def __post_init__(self):
+        _check_which(self.scalar_which, "scalar_which")
+
+
+# The owner of each config key: the type that holds its field, enforces its
+# rules and gives its default ("grid" fields are make_grid's arguments).
+_OWNERS = {
+    "grid": Grid,
+    "problem": ProblemSpec,
+    "V1": ScalarFunctionSpec,
+    "V2": ScalarFunctionSpec,
+    "coupling": ScalarFunctionSpec,
+    "nl1": NonlinearitySpec,
+    "nl2": NonlinearitySpec,
+    "solver": SolverOptions,
+    "config": ParsedConfig,
+}
+
+_FUNCTION_KEYS = (
+    ("kind", "kind", str),
+    ("base", "base_constant", float),
+    ("trig_amplitude", "trig_amplitude", float),
+    ("trig_periods", "trig_periods", _parse_int_list),
+    ("perturbation_amplitude", "perturbation_amplitude", float),
+    ("perturbation_width", "perturbation_width", float),
+)
+
+# key -> (owner, field, parser), in the order render_config writes them.
+_KEYS = {
+    "dim": ("grid", "dim", int),
+    "n": ("grid", "n_per_axis", int),
+    "L": ("grid", "box_length", float),
+    "s1": ("problem", "s1", float),
+    "s2": ("problem", "s2", float),
+    "periodic_reference": ("problem", "periodic_reference", _parse_bool),
+    **{
+        f"{owner}.{suffix}": (owner, field, parse)
+        for owner in ("V1", "V2", "coupling")
+        for suffix, field, parse in _FUNCTION_KEYS
+    },
+    **{
+        f"{owner}.{field}": (owner, field, parse)
+        for owner in ("nl1", "nl2")
+        for field, parse in (("kind", str), ("gamma", float), ("p", float))
+    },
+    **{
+        f"solver.{field}": ("solver", field, parse)
+        for field, parse in (
+            ("max_iters", int),
+            ("step_init", float),
+            ("backtrack_factor", float),
+            ("tol_energy", float),
+            ("tol_residual", float),
+            ("seed", int),
+            ("positivity_clip", _parse_bool),
+        )
+    },
+    "sweep.scales": ("config", "sweep_scales", _parse_float_list),
+    "limit.scales": ("config", "limit_scales", _parse_float_list),
+    "scalar.which": ("config", "scalar_which", int),
+}
+_KEY_OF = {(owner, field): key for key, (owner, field, _) in _KEYS.items()}
+
+
+def _required(owner: str, field: str) -> bool:
+    return not any(
+        f.name == field and f.default is not dataclasses.MISSING
+        for f in dataclasses.fields(_OWNERS[owner])
+    )
 
 
 def _parse_pairs(text: str) -> dict:
@@ -202,80 +186,43 @@ def _parse_pairs(text: str) -> dict:
     return pairs
 
 
-def _typed_values(pairs: dict) -> dict:
-    schema = _schema()
-    for key, (_, lineno) in pairs.items():
-        if key not in schema:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    values = {}
-    for key, (conv, default, check) in schema.items():
-        if key in pairs:
-            raw, lineno = pairs[key]
-            where = f"line {lineno}" if lineno > 0 else "override"
-            try:
-                val = conv(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: key {key!r}: {exc}") from exc
-            if check is not None:
-                try:
-                    check(val)
-                except ValueError as exc:
-                    raise ConfigError(f"{where}: key {key!r}: {exc}") from exc
-            values[key] = val
-        elif default is _REQUIRED:
+def _build(pairs: dict) -> ParsedConfig:
+    """Parse each given key, then build every owner from its given fields
+    (the owner's defaults fill the rest); a broken rule names its key."""
+
+    def where(key: str) -> str:
+        lineno = pairs[key][1]
+        return f"line {lineno}" if lineno > 0 else "override"
+
+    fields = {owner: {} for owner in _OWNERS}
+    for key, (raw, _) in pairs.items():
+        if key not in _KEYS:
+            raise ConfigError(f"{where(key)}: unknown key {key!r}")
+        owner, field, parse = _KEYS[key]
+        try:
+            fields[owner][field] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where(key)}: key {key!r}: {exc}") from exc
+    for key, (owner, field, _) in _KEYS.items():
+        if field not in fields[owner] and _required(owner, field):
             raise ConfigError(f"missing required key {key!r}")
-        else:
-            values[key] = default
-    return values
 
+    def make(owner: str, build, **parts):
+        try:
+            return build(**parts, **fields[owner])
+        except _RuleError as exc:
+            key = _KEY_OF[owner, exc.field]
+            raise ConfigError(f"{where(key)}: key {key!r}: {exc}") from exc
 
-def _function_spec(values: dict, prefix: str) -> ScalarFunctionSpec:
-    return ScalarFunctionSpec(
-        kind=values[f"{prefix}.kind"],
-        base_constant=values[f"{prefix}.base"],
-        trig_amplitude=values[f"{prefix}.trig_amplitude"],
-        trig_periods=values[f"{prefix}.trig_periods"],
-        perturbation_amplitude=values[f"{prefix}.perturbation_amplitude"],
-        perturbation_width=values[f"{prefix}.perturbation_width"],
+    problem = make(
+        "problem",
+        ProblemSpec,
+        grid=make("grid", make_grid),
+        **{w: make(w, ScalarFunctionSpec) for w in ("V1", "V2", "coupling")},
+        **{nl: make(nl, NonlinearitySpec) for nl in ("nl1", "nl2")},
     )
-
-
-def _build(values: dict) -> ParsedConfig:
-    grid = make_grid(values["dim"], values["n"], values["L"])
-    try:
-        problem = ProblemSpec(
-            grid=grid,
-            s1=values["s1"],
-            s2=values["s2"],
-            V1=_function_spec(values, "V1"),
-            V2=_function_spec(values, "V2"),
-            coupling=_function_spec(values, "coupling"),
-            nl1=NonlinearitySpec(
-                kind=values["nl1.kind"], gamma=values["nl1.gamma"], p=values["nl1.p"]
-            ),
-            nl2=NonlinearitySpec(
-                kind=values["nl2.kind"], gamma=values["nl2.gamma"], p=values["nl2.p"]
-            ),
-            periodic_reference=values["periodic_reference"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    options = SolverOptions(
-        max_iters=values["solver.max_iters"],
-        step_init=values["solver.step_init"],
-        backtrack_factor=values["solver.backtrack_factor"],
-        tol_energy=values["solver.tol_energy"],
-        tol_residual=values["solver.tol_residual"],
-        seed=values["solver.seed"],
-        positivity_clip=values["solver.positivity_clip"],
-    )
-    return ParsedConfig(
-        problem=problem,
-        options=options,
-        sweep_scales=values["sweep.scales"],
-        limit_scales=values["limit.scales"],
-        scalar_which=values["scalar.which"],
-    )
+    options = make("solver", SolverOptions)
+    return make("config", ParsedConfig, problem=problem, options=options)
 
 
 def parse_config(text: str, overrides=()) -> ParsedConfig:
@@ -286,7 +233,7 @@ def parse_config(text: str, overrides=()) -> ParsedConfig:
             raise ConfigError(f"override {item!r}: expected key=value")
         key, _, value = item.partition("=")
         pairs[key.strip()] = (value.strip(), 0)
-    return _build(_typed_values(pairs))
+    return _build(pairs)
 
 
 def _fmt(value) -> str:
@@ -302,43 +249,21 @@ def _fmt(value) -> str:
 def render_config(cfg: ParsedConfig) -> str:
     """Emit the full explicit config; parse_config(render_config(c)) == c."""
     p = cfg.problem
-    o = cfg.options
-    entries = [
-        ("dim", p.grid.dim),
-        ("n", p.grid.n_per_axis),
-        ("L", p.grid.box_length),
-        ("s1", p.s1),
-        ("s2", p.s2),
-        ("periodic_reference", p.periodic_reference),
-    ]
-    for prefix, spec in (("V1", p.V1), ("V2", p.V2), ("coupling", p.coupling)):
-        entries += [
-            (f"{prefix}.kind", spec.kind),
-            (f"{prefix}.base", spec.base_constant),
-            (f"{prefix}.trig_amplitude", spec.trig_amplitude),
-            (f"{prefix}.trig_periods", spec.trig_periods),
-            (f"{prefix}.perturbation_amplitude", spec.perturbation_amplitude),
-            (f"{prefix}.perturbation_width", spec.perturbation_width),
-        ]
-    for prefix, nl in (("nl1", p.nl1), ("nl2", p.nl2)):
-        entries += [
-            (f"{prefix}.kind", nl.kind),
-            (f"{prefix}.gamma", nl.gamma),
-            (f"{prefix}.p", nl.p),
-        ]
-    entries += [
-        ("solver.max_iters", o.max_iters),
-        ("solver.step_init", o.step_init),
-        ("solver.backtrack_factor", o.backtrack_factor),
-        ("solver.tol_energy", o.tol_energy),
-        ("solver.tol_residual", o.tol_residual),
-        ("solver.seed", o.seed),
-        ("solver.positivity_clip", o.positivity_clip),
-        ("sweep.scales", cfg.sweep_scales),
-        ("limit.scales", cfg.limit_scales),
-        ("scalar.which", cfg.scalar_which),
-    ]
-    return "\n".join(f"{k} = {_fmt(v)}" for k, v in entries) + "\n"
+    owners = {
+        "grid": p.grid,
+        "problem": p,
+        "V1": p.V1,
+        "V2": p.V2,
+        "coupling": p.coupling,
+        "nl1": p.nl1,
+        "nl2": p.nl2,
+        "solver": cfg.options,
+        "config": cfg,
+    }
+    return "".join(
+        f"{key} = {_fmt(getattr(owners[owner], field))}\n"
+        for key, (owner, field, _) in _KEYS.items()
+    )
 
 
 def _write_report(out_dir: Path, text: str) -> None:
@@ -376,13 +301,11 @@ def _dispatch(args, cfg: ParsedConfig, out_dir: Path) -> int:
         return 0 if rep.converged else 2
 
     if command == "solve-scalar":
-        best = None
-        for k in range(args.restarts):
-            o = dataclasses.replace(opts, seed=opts.seed + k)
-            rep = solve_scalar_ground_state(cfg.scalar_which, problem, opts=o)
-            if best is None or (rep.converged, -rep.level) > (best.converged, -best.level):
-                best = rep
-        best = dataclasses.replace(best, restarts=args.restarts)
+        best = _best_of(
+            lambda o: solve_scalar_ground_state(cfg.scalar_which, problem, opts=o),
+            opts,
+            args.restarts,
+        )
         text = f"component = {cfg.scalar_which}\n" + best.summary()
         _write_report(out_dir, text + "\n")
         _write_state(out_dir, best.state)

@@ -7,14 +7,13 @@ round-trip through text exactly.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import StatePair
 from .grid import Field, lp_norm, integrate
-from .model import ProblemSpec, perturbation_values
+from .model import ProblemSpec, _perturbation_sign
 from .solver import (
     SolveReport,
     SolverOptions,
@@ -170,26 +169,6 @@ def lambda_sweep(
     )
 
 
-def _check_perturbation_signs(problem: ProblemSpec) -> None:
-    grid = problem.grid
-    for name, spec, lower in (
-        ("V1", problem.V1, True),
-        ("V2", problem.V2, True),
-        ("coupling", problem.coupling, False),
-    ):
-        pert = perturbation_values(spec, grid)
-        if pert is None:
-            continue
-        if lower and np.any(pert > 0.0):
-            raise PerturbationSignViolation(
-                f"{name}: perturbation raises the potential somewhere"
-            )
-        if not lower and np.any(pert < 0.0):
-            raise PerturbationSignViolation(
-                f"{name}: perturbation lowers the coupling somewhere"
-            )
-
-
 def compare_periodic_limit(
     problem: ProblemSpec,
     opts: SolverOptions | None = None,
@@ -202,7 +181,14 @@ def compare_periodic_limit(
     of max(1e-8, 1e-4 * periodic level).
     """
     opts = opts or SolverOptions()
-    _check_perturbation_signs(problem)
+    for name, spec, lowers in (
+        ("V1", problem.V1, True),
+        ("V2", problem.V2, True),
+        ("coupling", problem.coupling, False),
+    ):
+        _, wrong_way, detail = _perturbation_sign(spec, problem.grid, lowers)
+        if wrong_way:
+            raise PerturbationSignViolation(f"{name}: {detail}")
     periodic = solve_with_restarts(
         problem.with_periodic_reference(True), opts=opts, restarts=restarts
     )

@@ -39,6 +39,20 @@ class FieldFormatError(ValueError):
     """A field file violates the on-disk format."""
 
 
+class _RuleError(ValueError):
+    """A value breaks its owner's rule; ``field`` is the value's name there."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _check_order(s: float, field: str) -> None:
+    """A fractional order lies in (0, 1]."""
+    if not 0.0 < s <= 1.0:
+        raise _RuleError(field, f"fractional order {field} must lie in (0, 1], got {s}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, L)^dim.
@@ -140,15 +154,15 @@ def make_grid(dim: int, n_per_axis: int, box_length: float) -> Grid:
         Side length L of the periodic box, strictly positive.
     """
     if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2, or 3, got {dim}")
+        raise _RuleError("dim", f"dim must be 1, 2, or 3, got {dim}")
     n = int(n_per_axis)
     if n != n_per_axis or n < 8 or (n & (n - 1)) != 0:
-        raise ValueError(
-            f"n_per_axis must be a power of two >= 8, got {n_per_axis}"
+        raise _RuleError(
+            "n_per_axis", f"n_per_axis must be a power of two >= 8, got {n_per_axis}"
         )
     L = float(box_length)
-    if not np.isfinite(L) or L <= 0.0:
-        raise ValueError(f"box_length must be positive, got {box_length}")
+    if not 0.0 < L < np.inf:
+        raise _RuleError("box_length", f"box_length must be positive and finite, got {L}")
     # n is a power of two, so dividing by n**dim and multiplying back is
     # exact: cell_volume * npoints == L**dim holds bit for bit.
     cell_volume = L**dim / n**dim
@@ -169,8 +183,7 @@ def apply_frac_laplacian(u: Field, s: float) -> Field:
     second-order behaviour per Fourier mode.  The field is real, so only
     the half spectrum of a real transform is computed.
     """
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"fractional order s must be in (0, 1], got {s}")
+    _check_order(s, "s")
     g = u.grid
     out = sfft.irfftn(g.symbol(s) * sfft.rfftn(u.values), s=g.shape)
     return Field(g, out)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, integrate
+from .grid import Field, Grid, _RuleError, _check_order
 
 __all__ = [
     "ScalarFunctionSpec",
@@ -83,21 +83,21 @@ class ScalarFunctionSpec:
 
     def __post_init__(self):
         if self.kind not in FUNCTION_KINDS:
-            raise ValueError(f"unknown scalar function kind {self.kind!r}")
+            raise _RuleError("kind", f"unknown scalar function kind {self.kind!r}")
         periods = self.trig_periods
         if isinstance(periods, (int, np.integer)):
             periods = (int(periods),)
         object.__setattr__(self, "trig_periods", tuple(int(m) for m in periods))
         if any(m < 1 for m in self.trig_periods):
-            raise ValueError("trig_periods must be positive integers")
-        if self.kind == "constant":
-            if self.trig_amplitude != 0.0 or self.perturbation_amplitude != 0.0:
-                raise ValueError("constant kind admits no trig or perturbation part")
-        elif self.kind == "periodic_trig":
-            if self.perturbation_amplitude != 0.0:
-                raise ValueError("periodic_trig kind admits no perturbation part")
-        if self.kind == "periodic_plus_perturbation" and self.perturbation_width <= 0.0:
-            raise ValueError("perturbation_width must be positive")
+            raise _RuleError("trig_periods", "trig_periods must be positive integers")
+        if self.kind == "constant" and self.trig_amplitude != 0.0:
+            raise _RuleError("trig_amplitude", "constant kind admits no trig part")
+        if not self.has_perturbation and self.perturbation_amplitude != 0.0:
+            raise _RuleError(
+                "perturbation_amplitude", f"{self.kind} kind admits no perturbation part"
+            )
+        if not self.perturbation_width > 0.0:
+            raise _RuleError("perturbation_width", "perturbation_width must be positive")
 
     @property
     def has_perturbation(self) -> bool:
@@ -154,15 +154,15 @@ def sample_function(
     return Field(grid, vals)
 
 
+def _sq_radius(grid: Grid) -> np.ndarray:
+    """|x - center|^2 on the grid, the center at L/2 on every axis."""
+    c = 0.5 * grid.box_length
+    return sum((x - c) ** 2 for x in grid.coordinates())
+
+
 def gaussian_bump(grid: Grid, width: float, amplitude: float = 1.0) -> np.ndarray:
     """exp(-|x - center|^2 / width^2) sampled on the grid."""
-    if width <= 0.0:
-        raise ValueError("width must be positive")
-    c = 0.5 * grid.box_length
-    r2 = np.zeros(grid.shape)
-    for x in grid.coordinates():
-        r2 = r2 + (x - c) ** 2
-    return amplitude * np.exp(-r2 / width**2)
+    return amplitude * np.exp(-_sq_radius(grid) / width**2)
 
 
 def perturbation_values(spec: ScalarFunctionSpec, grid: Grid):
@@ -194,11 +194,11 @@ class NonlinearitySpec:
 
     def __post_init__(self):
         if self.kind not in NONLINEARITY_KINDS:
-            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == "log_power" and self.gamma < 1.0:
-            raise ValueError(f"log_power needs gamma >= 1, got {self.gamma}")
-        if self.kind == "pure_power" and self.p <= 2.0:
-            raise ValueError(f"pure_power needs p > 2, got {self.p}")
+            raise _RuleError("kind", f"unknown nonlinearity kind {self.kind!r}")
+        if self.kind == "log_power" and not 1.0 <= self.gamma < np.inf:
+            raise _RuleError("gamma", f"log_power needs a finite gamma >= 1, got {self.gamma}")
+        if self.kind == "pure_power" and not self.p > 2.0:
+            raise _RuleError("p", f"pure_power needs p > 2, got {self.p}")
 
     @property
     def growth_exponent(self) -> float:
@@ -366,9 +366,8 @@ class ProblemSpec:
     periodic_reference: bool = False
 
     def __post_init__(self):
-        for name, s in (("s1", self.s1), ("s2", self.s2)):
-            if not (0.0 < s <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1], got {s}")
+        _check_order(self.s1, "s1")
+        _check_order(self.s2, "s2")
 
     @cached_property
     def V1_field(self) -> Field:
@@ -443,6 +442,28 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _perturbation_sign(spec: ScalarFunctionSpec, grid: Grid, lowers: bool) -> tuple:
+    """(ok, wrong_way, detail): does the perturbation of ``spec`` move its
+    weight strictly the required way at every grid point?
+
+    Potentials must be lowered (``lowers``), the coupling raised.  wrong_way
+    marks a perturbation that moves the weight the other way somewhere; one
+    that only fails to be strict (zero at some point) is not ok either.  No
+    perturbation is ok.
+    """
+    pert = perturbation_values(spec, grid)
+    if pert is None:
+        return True, False, "no perturbation"
+    gain = -pert if lowers else pert
+    if np.any(gain < 0.0):
+        what = "raises the potential" if lowers else "lowers the coupling"
+        return False, True, f"perturbation {what} somewhere"
+    if not np.all(gain > 0.0):
+        return False, False, "ordering not strict at some grid point"
+    way = "lowered" if lowers else "raised"
+    return True, False, f"strictly {way}, max gap {np.max(gain):.3g}"
+
+
 def _ladder() -> np.ndarray:
     return np.geomspace(LADDER_LO, LADDER_HI, LADDER_POINTS)
 
@@ -488,26 +509,16 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
     # sign violation.
     v_0 = min(float(np.min(V1e.values)), float(np.min(V2e.values)))
     constants["V_0"] = v_0
-    pot_ok = True
-    details = []
-    for name, spec in (("V1", problem.V1), ("V2", problem.V2)):
-        pert = perturbation_values(spec, grid)
-        if pert is None:
-            details.append(f"{name}: no perturbation")
-            continue
-        if np.any(pert > 0.0):
-            pot_ok = False
-            details.append(f"{name}: perturbation raises the potential somewhere")
-        elif not np.all(pert < 0.0):
-            pot_ok = False
-            details.append(f"{name}: ordering not strict at some grid point")
-        else:
-            details.append(f"{name}: strictly lowered, max gap {-np.min(pert):.3g}")
+    signs = [
+        (name, _perturbation_sign(spec, grid, lowers=True))
+        for name, spec in (("V1", problem.V1), ("V2", problem.V2))
+    ]
     checks.append(
         CheckResult(
             "potential_perturbations_lower",
-            pot_ok and v_0 > 0.0,
-            "; ".join(details) + f"; min perturbed potential = {v_0:.6g}",
+            all(ok for _, (ok, _, _) in signs) and v_0 > 0.0,
+            "; ".join(f"{name}: {detail}" for name, (_, _, detail) in signs)
+            + f"; min perturbed potential = {v_0:.6g}",
         )
     )
 
@@ -515,19 +526,7 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
     # perturbation is declared.  Size bound via the pointwise delta.
     delta_e = _delta_of(lam_e, V1e, V2e)
     constants["delta_perturbed"] = delta_e
-    coup_ok = True
-    coup_pert = perturbation_values(problem.coupling, grid)
-    if coup_pert is not None:
-        if np.any(coup_pert < 0.0):
-            coup_ok = False
-            cdetail = "perturbation lowers the coupling somewhere"
-        elif not np.all(coup_pert > 0.0):
-            coup_ok = False
-            cdetail = "ordering not strict at some grid point"
-        else:
-            cdetail = f"strictly raised, max gap {np.max(coup_pert):.3g}"
-    else:
-        cdetail = "no perturbation"
+    coup_ok, _, cdetail = _perturbation_sign(problem.coupling, grid, lowers=False)
     checks.append(
         CheckResult(
             "coupling_perturbation_raises",
@@ -540,11 +539,7 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
     # of radius L/4 (finite-measure superlevel sets, sampled surrogate).
     decay_ok = True
     decay_details = []
-    c = 0.5 * grid.box_length
-    r2 = np.zeros(grid.shape)
-    for x in grid.coordinates():
-        r2 = r2 + (x - c) ** 2
-    outside = r2 > (0.25 * grid.box_length) ** 2
+    outside = _sq_radius(grid) > (0.25 * grid.box_length) ** 2
     for name, spec in (
         ("V1", problem.V1),
         ("V2", problem.V2),

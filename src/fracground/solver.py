@@ -36,7 +36,7 @@ from .energy import (
     gradient,
     l2_norm_pair,
 )
-from .grid import Field, Grid, hs_quadratic_form
+from .grid import Field, Grid, _RuleError, hs_quadratic_form
 from .model import ProblemSpec, ValidationFailed, gaussian_bump, validate_assumptions
 
 __all__ = [
@@ -89,6 +89,23 @@ class SolverOptions:
     tol_residual: float = 1.0e-8
     seed: int = 0
     positivity_clip: bool = True
+
+    def __post_init__(self):
+        for name in ("max_iters", "step_init", "tol_energy", "tol_residual"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise _RuleError(name, f"{name} must be positive, got {value}")
+        # at 1 the line search would never shrink its step
+        factor = self.backtrack_factor
+        if not 0.0 < factor < 1.0:
+            raise _RuleError(
+                "backtrack_factor", f"backtrack_factor must lie in (0, 1), got {factor}"
+            )
+
+
+def _check_which(which: int, field: str) -> None:
+    if which not in (1, 2):
+        raise _RuleError(field, f"{field} must be 1 or 2, got {which}")
 
 
 @dataclass
@@ -240,12 +257,17 @@ def _project(trial: StatePair, problem: ProblemSpec) -> tuple:
     return t0, projected, _energy_parts(tuple(t2 * q for q in quad), projected, problem)
 
 
+def _jittered_bump(grid: Grid, rng: np.random.Generator) -> np.ndarray:
+    """A centered unit bump of width L/8, each sample scaled by 1 + 0.05 N(0, 1)."""
+    bump = gaussian_bump(grid, 0.125 * grid.box_length)
+    return bump * (1.0 + 0.05 * rng.standard_normal(grid.shape))
+
+
 def default_initial_state(problem: ProblemSpec, rng: np.random.Generator) -> StatePair:
     """Centered unit-amplitude bumps on both components, jittered by the rng."""
     g = problem.grid
-    bump = gaussian_bump(g, 0.125 * g.box_length)
-    u = bump * (1.0 + 0.05 * rng.standard_normal(g.shape))
-    v = bump * (1.0 + 0.05 * rng.standard_normal(g.shape))
+    u = _jittered_bump(g, rng)
+    v = _jittered_bump(g, rng)
     return StatePair(Field(g, u), Field(g, v))
 
 
@@ -379,20 +401,13 @@ def solve_scalar_ground_state(
     opts: SolverOptions | None = None,
 ) -> SolveReport:
     """Ground state of one component alone (coupling off, other component 0)."""
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
+    _check_which(which, "which")
     opts = opts or SolverOptions()
-    decoupled = problem.with_coupling_scale(0.0)
     g = problem.grid
-    rng = np.random.default_rng(opts.seed)
-    bump = gaussian_bump(g, 0.125 * g.box_length)
-    active = bump * (1.0 + 0.05 * rng.standard_normal(g.shape))
-    zero = np.zeros(g.shape)
-    if which == 1:
-        init = StatePair(Field(g, active), Field(g, zero))
-    else:
-        init = StatePair(Field(g, zero), Field(g, active))
-    return solve_ground_state(decoupled, init=init, opts=opts)
+    active = Field(g, _jittered_bump(g, np.random.default_rng(opts.seed)))
+    zero = Field(g, np.zeros(g.shape))
+    init = StatePair(active, zero) if which == 1 else StatePair(zero, active)
+    return solve_ground_state(problem.with_coupling_scale(0.0), init=init, opts=opts)
 
 
 def solve_with_restarts(
@@ -401,17 +416,21 @@ def solve_with_restarts(
     restarts: int = 1,
 ) -> SolveReport:
     """Run several seeds and keep the lowest converged level."""
-    opts = opts or SolverOptions()
+    return _best_of(
+        lambda o: solve_ground_state(problem, opts=o), opts or SolverOptions(), restarts
+    )
+
+
+def _best_of(solve, opts: SolverOptions, restarts: int) -> SolveReport:
+    """Call solve(options) with seeds opts.seed + k for k < restarts; keep
+    the first report with the lowest converged level (any converged one
+    beats every unconverged one)."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     best = None
     for k in range(restarts):
-        rep = solve_ground_state(
-            problem, opts=dataclasses.replace(opts, seed=opts.seed + k)
-        )
-        if best is None:
-            best = rep
-        elif (rep.converged, -rep.level) > (best.converged, -best.level):
+        rep = solve(dataclasses.replace(opts, seed=opts.seed + k))
+        if best is None or (rep.converged, -rep.level) > (best.converged, -best.level):
             best = rep
     return dataclasses.replace(best, restarts=restarts)
 

@@ -1,13 +1,20 @@
 """Config parsing, rendering, subcommands, and exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
 from fracground import (
     ConfigError,
+    NonlinearitySpec,
+    ParsedConfig,
+    ScalarFunctionSpec,
+    SolverOptions,
     parse_config,
     read_field,
     render_config,
+    solve_scalar_ground_state,
 )
 from fracground.cli import run
 
@@ -309,3 +316,148 @@ def test_restarts_flag_validated(tmp_path, capsys):
     )
     assert code == 1
     assert "restarts" in capsys.readouterr().err
+
+
+def level_of(report_text):
+    for line in report_text.splitlines():
+        if line.startswith("level = "):
+            return float(line.split("=")[1])
+    raise AssertionError("no level line")
+
+
+def test_solve_scalar_restarts_keep_the_lowest_level(tmp_path):
+    # three iterations leave each seed at its own level, none converged
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = run(
+        ["solve-scalar", "--config", str(cfg), "--out", str(out),
+         "--seed", "3", "--restarts", "2", "--set", "solver.max_iters=3"]
+    )
+    assert code == 2
+    report = (out / "report.txt").read_text(encoding="ascii")
+    assert "restarts = 2" in report
+    problem = parse_config(BASE_CONFIG).problem
+    levels = [
+        solve_scalar_ground_state(
+            1, problem, opts=SolverOptions(max_iters=3, seed=seed)
+        ).level
+        for seed in (3, 4)
+    ]
+    assert levels[0] != levels[1]
+    assert level_of(report) == min(levels)
+
+
+# ---------------------------------------------------------------------------
+# input rules: every key is checked by the type that owns its field
+
+
+REQUIRED_ONLY = """\
+dim = 1
+n = 16
+L = 4.0
+s1 = 0.5
+s2 = 0.8
+V1.kind = constant
+V2.kind = periodic_trig
+coupling.kind = periodic_plus_perturbation
+nl1.kind = log_power
+nl2.kind = pure_power
+"""
+
+
+def test_required_keys_alone_take_the_owners_defaults():
+    cfg = parse_config(REQUIRED_ONLY)
+    p = cfg.problem
+    assert cfg.options == SolverOptions()
+    assert p.nl1 == NonlinearitySpec("log_power")
+    assert p.nl2 == NonlinearitySpec("pure_power")
+    assert p.V1 == ScalarFunctionSpec("constant")
+    assert p.V2 == ScalarFunctionSpec("periodic_trig")
+    assert p.coupling == ScalarFunctionSpec("periodic_plus_perturbation")
+    assert p.periodic_reference is False
+    assert cfg == ParsedConfig(p, SolverOptions())
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "dim=4", "n=48", "n=4", "L=0", "L=-1", "L=inf", "L=nan", "L=1e400",
+        "s1=1.5", "s2=0", "s2=nan",
+        "V1.kind=bogus", "V1.trig_amplitude=0.5", "V1.trig_periods=0",
+        "V2.trig_periods=1,-2", "V1.perturbation_amplitude=0.1",
+        "coupling.perturbation_width=-1", "coupling.perturbation_width=0",
+        "nl1.kind=cubic", "nl1.gamma=0.5", "nl2.gamma=nan", "nl2.gamma=inf",
+        "solver.max_iters=0", "solver.step_init=0", "solver.backtrack_factor=1.0",
+        "solver.backtrack_factor=0", "solver.tol_energy=-1", "solver.tol_residual=nan",
+        "scalar.which=3",
+    ],
+)
+def test_out_of_range_override_names_its_key(override):
+    key = override.partition("=")[0]
+    with pytest.raises(ConfigError, match=f"^override: key '{re.escape(key)}'"):
+        parse_config(BASE_CONFIG, overrides=[override])
+
+
+def test_rule_broken_in_the_file_names_key_and_line():
+    text = BASE_CONFIG + "nl2.kind = pure_power\nnl2.p = 2.0\n"
+    text = text.replace("nl2.kind = log_power\n", "")
+    lineno = len(text.splitlines())
+    with pytest.raises(ConfigError, match=f"^line {lineno}: key 'nl2.p': .*p > 2"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+def test_infinite_box_length_is_a_config_error(tmp_path, capsys, value):
+    cfg = write_config(tmp_path)
+    code = run(
+        ["check", "--config", str(cfg), "--out", str(tmp_path / "out"),
+         "--set", f"L={value}"]
+    )
+    assert code == 1
+    assert "key 'L'" in capsys.readouterr().err
+
+
+def test_backtrack_factor_one_is_refused_before_solving(tmp_path, capsys):
+    # with factor 1 the line search never shrinks its step and the solve hangs
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = run(
+        ["solve", "--config", str(cfg), "--out", str(out),
+         "--set", "solver.backtrack_factor=1.0"]
+    )
+    assert code == 1
+    assert "key 'solver.backtrack_factor'" in capsys.readouterr().err
+    assert not (out / "report.txt").exists()
+
+
+DEGENERATE_VALUES = ["inf", "nan", "-1", "0", "1e400", "", "abc", "-inf", "1,x"]
+
+
+def test_degenerate_single_key_overrides(tmp_path):
+    # any one key set to a degenerate value either parses or is a
+    # ConfigError, and `check` exits 0 or 1 without raising; no value here
+    # is a valid large n, which would allocate a huge grid
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cfg = write_config(tmp_path)
+    keys = [line.partition(" =")[0] for line in
+            render_config(parse_config(BASE_CONFIG)).splitlines()]
+
+    @hypothesis.settings(
+        max_examples=150, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(
+        key=st.sampled_from(keys),
+        value=st.sampled_from(DEGENERATE_VALUES) | st.text("xyz.,-e ", max_size=4),
+    )
+    def check(key, value):
+        override = f"{key}={value}"
+        try:
+            parse_config(BASE_CONFIG, overrides=[override])
+        except ConfigError:
+            pass
+        argv = ["check", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                "--set", override]
+        assert run(argv) in (0, 1)
+
+    check()

@@ -12,6 +12,7 @@ from fracground import (
     ScalarFunctionSpec,
     SolverOptions,
     SweepRow,
+    ValidationFailed,
     compare_periodic_limit,
     decoupling_limit,
     lambda_sweep,
@@ -256,3 +257,41 @@ def test_write_sweep_csv(tmp_path):
     text = path.read_text(encoding="ascii")
     assert text.splitlines()[0] == CSV_HEADER
     assert text.endswith("\n")
+
+
+def test_sign_violation_carries_the_validators_detail():
+    # the comparison refuses a wrong-way perturbation with the validator's
+    # own finding for that weight
+    lowered = dataclasses.replace(
+        perturbed_problem(),
+        coupling=ScalarFunctionSpec(
+            kind="periodic_plus_perturbation",
+            base_constant=0.4,
+            perturbation_amplitude=-0.15,
+            perturbation_width=0.5,
+        ),
+    )
+    checks = {c.name: c for c in validate_assumptions(lowered).checks}
+    finding = checks["coupling_perturbation_raises"]
+    assert not finding.passed
+    with pytest.raises(PerturbationSignViolation) as info:
+        compare_periodic_limit(lowered, opts=FAST)
+    assert str(info.value) == "coupling: " + finding.detail.split(";")[0]
+
+
+def test_non_strict_perturbation_is_not_a_sign_violation():
+    # a bump so narrow that it underflows to zero away from the center is
+    # not strict, so validation fails, but it moves no weight the wrong way
+    narrow = dataclasses.replace(
+        perturbed_problem(),
+        V1=ScalarFunctionSpec(
+            kind="periodic_plus_perturbation",
+            base_constant=1.0,
+            perturbation_amplitude=-0.2,
+            perturbation_width=0.05,
+        ),
+    )
+    checks = {c.name: c for c in validate_assumptions(narrow).checks}
+    assert "V1: ordering not strict" in checks["potential_perturbations_lower"].detail
+    with pytest.raises(ValidationFailed):
+        compare_periodic_limit(narrow, opts=FAST)

@@ -453,3 +453,16 @@ def test_validator_log_power_exponents():
     assert 1.5 < alpha < 3.0
     assert report.constants["alpha_threshold"] == pytest.approx(0.5, rel=1e-12)
     assert report.constants["p_nl1"] == 2.5
+
+
+@pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+def test_log_power_gamma_must_be_finite(gamma):
+    # an infinite or undefined exponent would break the series for F
+    with pytest.raises(ValueError, match="gamma"):
+        NonlinearitySpec(kind="log_power", gamma=gamma)
+
+
+@pytest.mark.parametrize("kind", ["constant", "periodic_trig", "periodic_plus_perturbation"])
+def test_perturbation_width_must_be_positive_for_every_kind(kind):
+    with pytest.raises(ValueError, match="perturbation_width"):
+        ScalarFunctionSpec(kind=kind, perturbation_width=0.0)

@@ -425,3 +425,39 @@ def test_diagnostics_summary_renders(diagnosed):
     text = diag.summary()
     assert "small_sphere_witnessed = True" in text
     assert "ray_max" in text
+
+
+# ---------------------------------------------------------------------------
+# options and starts
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("backtrack_factor", 1.0),
+        ("backtrack_factor", 1.5),
+        ("backtrack_factor", 0.0),
+        ("backtrack_factor", float("nan")),
+        ("max_iters", 0),
+        ("step_init", -1.0),
+        ("tol_energy", 0.0),
+        ("tol_residual", float("nan")),
+    ],
+)
+def test_solver_options_reject_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
+
+
+def test_scalar_start_is_one_component_of_the_default_start(monkeypatch):
+    # both starts draw the same jittered bump from the seed's generator
+    prob = constant_problem()
+    starts = []
+    monkeypatch.setattr(
+        solver, "solve_ground_state", lambda problem, init, opts: starts.append(init)
+    )
+    for which in (1, 2):
+        solve_scalar_ground_state(which, prob, opts=SolverOptions(seed=3))
+    ref = solver.default_initial_state(prob, np.random.default_rng(3)).u.values
+    assert np.array_equal(starts[0].u.values, ref) and not starts[0].v.values.any()
+    assert np.array_equal(starts[1].v.values, ref) and not starts[1].u.values.any()
