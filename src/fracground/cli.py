@@ -36,6 +36,7 @@ from .solver import (
     NotInEPlus,
     SolverOptions,
     _best_of,
+    _check_restarts,
     _check_which,
     mountain_pass_diagnostics,
     solve_ground_state,
@@ -408,9 +409,8 @@ def run(argv) -> int:
             cfg = dataclasses.replace(
                 cfg, options=dataclasses.replace(cfg.options, seed=args.seed)
             )
-        if args.restarts < 1:
-            raise ConfigError("--restarts must be >= 1")
-    except ConfigError as exc:
+        _check_restarts(args.restarts, "--restarts")
+    except (ConfigError, _RuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -165,7 +165,12 @@ def make_grid(dim: int, n_per_axis: int, box_length: float) -> Grid:
         raise _RuleError("box_length", f"box_length must be positive and finite, got {L}")
     # n is a power of two, so dividing by n**dim and multiplying back is
     # exact: cell_volume * npoints == L**dim holds bit for bit.
-    cell_volume = L**dim / n**dim
+    try:
+        cell_volume = L**dim / n**dim
+    except OverflowError:
+        raise _RuleError(
+            "box_length", f"box_length {L} gives a box volume L**{dim} beyond the float range"
+        ) from None
     w = 2.0 * np.pi * sfft.fftfreq(n, d=L / n)
     return Grid(dim, n, L, cell_volume, (w,) * dim)
 

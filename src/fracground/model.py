@@ -312,7 +312,8 @@ def _log_power_series(W: np.ndarray, b: float, c: float) -> np.ndarray:
         power = power * W / k
         term = ((2.0**k - c) / (k + b + 1.0)) * power
         total += term
-        if k >= k_min and np.all(term <= 2.0**-55 * total):
+        # a nan term (0 * inf, once W^(b+1) overflows) ends it like a small one
+        if k >= k_min and not np.any(term > 2.0**-55 * total):
             return total
 
 

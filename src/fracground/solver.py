@@ -8,13 +8,18 @@ is unique.  Pure powers of one exponent give it in closed form; otherwise a
 safeguarded Newton iteration on ln(N(t)/t^2) against ln t finds it in a
 few evaluations of f and f' on the positive samples.  The quadratic form is
 quadratic along the ray, so a projected pair's quadratic pieces are t^2
-times those of the unprojected one and need no new transforms.  The outer
-iteration is a preconditioned gradient descent with a backtracking line
-search on the projected energy; convergence requires both energy
-stagnation and a small preconditioned gradient residual.  Near a minimizer
-the energy is flat to within its own rounding, so there a full step is also
-accepted when it raises the energy by no more than that rounding and lowers
-the residual.
+times those of the unprojected one and need no new transforms.
+
+The outer iteration steps against the preconditioned gradient, projects
+the trial pair and accepts it once its energy is strictly lower,
+backtracking otherwise.  Each line search starts from the short
+Barzilai-Borwein step <s,y>/<y,y> of the last accepted iteration (s the
+change of the pair, y that of its preconditioned gradient), which tracks
+the curvature along the path; the first iteration starts from step_init.
+Convergence requires both energy stagnation and a small preconditioned
+gradient residual.  Near a minimizer the energy is flat to within its own
+rounding, so there a first trial is also accepted when it raises the
+energy by no more than that rounding and lowers the residual.
 """
 
 from __future__ import annotations
@@ -53,8 +58,12 @@ __all__ = [
     "mountain_pass_diagnostics",
 ]
 
-# Line search gives up once the step has shrunk by this factor.
+# Line search gives up once its step has shrunk by this factor from its
+# first trial.
 _STEP_FLOOR = 1.0e-14
+# A Barzilai-Borwein first trial is kept within these multiples of step_init.
+_BB_MIN = 1.0e-3
+_BB_MAX = 1.0e3
 # Energies closer than this many ulps of the energy's largest terms are not
 # resolved: the quadratic forms and nonlinear integrals each carry a few
 # ulps of rounding, and on the constraint set they cancel to several times
@@ -106,6 +115,11 @@ class SolverOptions:
 def _check_which(which: int, field: str) -> None:
     if which not in (1, 2):
         raise _RuleError(field, f"{field} must be 1 or 2, got {which}")
+
+
+def _check_restarts(restarts: int, field: str) -> None:
+    if restarts < 1:
+        raise _RuleError(field, f"{field} must be >= 1")
 
 
 @dataclass
@@ -323,6 +337,7 @@ def solve_ground_state(
     E = parts.total
     grad = gradient(state, problem, preconditioned=True)
     last_decrease = np.inf
+    eta0 = opts.step_init
     converged = False
     stalled = False
     iterations = 0
@@ -333,10 +348,10 @@ def solve_ground_state(
             converged = True
             break
 
-        eta = opts.step_init
+        eta = eta0
         accepted = False
         cand_grad = None
-        while eta >= _STEP_FLOOR * opts.step_init:
+        while eta >= _STEP_FLOOR * eta0:
             cu = state.u.values - eta * grad.u.values
             cv = state.v.values - eta * grad.v.values
             if opts.positivity_clip:
@@ -354,7 +369,7 @@ def solve_ground_state(
             if Ec < E:
                 accepted = True
                 break
-            if eta == opts.step_init and Ec <= E + _energy_rounding(parts):
+            if eta == eta0 and Ec <= E + _energy_rounding(parts):
                 # the energy cannot resolve this step; the residual can
                 cand_grad = gradient(cand, problem, preconditioned=True)
                 if _residual(cand_grad, cand) < residual:
@@ -364,7 +379,7 @@ def solve_ground_state(
             eta *= opts.backtrack_factor
 
         if not accepted:
-            # No step lowers the energy, nor at full length the residual;
+            # No step lowers the energy, nor the first trial the residual;
             # the energy is stationary to machine precision, so the
             # residual alone decides.
             if residual < opts.tol_residual:
@@ -374,10 +389,14 @@ def solve_ground_state(
             break
 
         last_decrease = (E - Ec) / max(abs(E), abs(Ec), 1.0e-300)
-        state, E = cand, Ec
         if cand_grad is None:
-            cand_grad = gradient(state, problem, preconditioned=True)
-        grad = cand_grad
+            cand_grad = gradient(cand, problem, preconditioned=True)
+        eta0 = _bb_step(
+            [cand.u.values - state.u.values, cand.v.values - state.v.values],
+            [cand_grad.u.values - grad.u.values, cand_grad.v.values - grad.v.values],
+            opts.step_init,
+        )
+        state, E, grad = cand, Ec, cand_grad
         iterations += 1
         t_history.append(t0)
 
@@ -387,6 +406,19 @@ def solve_ground_state(
 def _residual(grad: StatePair, state: StatePair) -> float:
     """Relative size of a pair's preconditioned gradient."""
     return l2_norm_pair(grad) / l2_norm_pair(state)
+
+
+def _bb_step(s: list, y: list, step_init: float) -> float:
+    """First trial step of the next line search: the short Barzilai-Borwein
+    step <s,y>/<y,y>, with s the change of the accepted pair and y that of
+    its preconditioned gradient (one array per component, inner products
+    summed over both), kept within [_BB_MIN, _BB_MAX] * step_init.  Without
+    positive curvature along s (<s,y> <= 0 or y = 0) it is step_init."""
+    sy = sum(float(np.vdot(a, b)) for a, b in zip(s, y))
+    yy = sum(float(np.vdot(b, b)) for b in y)
+    if not (sy > 0.0 and yy > 0.0):
+        return step_init
+    return min(max(sy / yy, _BB_MIN * step_init), _BB_MAX * step_init)
 
 
 def _energy_rounding(parts: EnergyBreakdown) -> float:
@@ -425,8 +457,7 @@ def _best_of(solve, opts: SolverOptions, restarts: int) -> SolveReport:
     """Call solve(options) with seeds opts.seed + k for k < restarts; keep
     the first report with the lowest converged level (any converged one
     beats every unconverged one)."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _check_restarts(restarts, "restarts")
     best = None
     for k in range(restarts):
         rep = solve(dataclasses.replace(opts, seed=opts.seed + k))

@@ -1,6 +1,7 @@
 """Config parsing, rendering, subcommands, and exit codes."""
 
 import re
+import runpy
 
 import numpy as np
 import pytest
@@ -406,7 +407,7 @@ def test_rule_broken_in_the_file_names_key_and_line():
         parse_config(text)
 
 
-@pytest.mark.parametrize("value", ["inf", "1e400"])
+@pytest.mark.parametrize("value", ["inf", "1e400", "1e200"])
 def test_infinite_box_length_is_a_config_error(tmp_path, capsys, value):
     cfg = write_config(tmp_path)
     code = run(
@@ -415,6 +416,42 @@ def test_infinite_box_length_is_a_config_error(tmp_path, capsys, value):
     )
     assert code == 1
     assert "key 'L'" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_log_power_exponent_fails_validation(tmp_path, capsys):
+    # ln(1+t)^gamma overflows for t > e - 1 and the series for F and nq
+    # meets 0 * inf; validation must still end
+    cfg = write_config(tmp_path)
+    code = run(
+        ["check", "--config", str(cfg), "--out", str(tmp_path / "out"),
+         "--set", "nl1.gamma=1e300"]
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] nonquadratic_nl1" in out and "overall: fail" in out
+
+
+def test_restarts_flag_message(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    code = run(
+        ["check", "--config", str(cfg), "--out", str(tmp_path / "out"),
+         "--restarts", "-1"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: --restarts must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_runs_the_cli(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    monkeypatch.setattr(
+        "sys.argv", ["fracground", "check", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fracground", run_name="__main__")
+    assert exc.value.code == 0
+    assert "overall: pass" in capsys.readouterr().out
 
 
 def test_backtrack_factor_one_is_refused_before_solving(tmp_path, capsys):

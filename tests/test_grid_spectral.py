@@ -35,7 +35,10 @@ def test_grid_basic_quantities():
 
 @pytest.mark.parametrize(
     "dim,n,L",
-    [(1, 8, 1.0), (1, 256, 2.0 * np.pi), (2, 32, 8.0), (3, 16, 5.0), (2, 64, 0.3)],
+    [
+        (1, 8, 1.0), (1, 256, 2.0 * np.pi), (2, 32, 8.0), (3, 16, 5.0), (2, 64, 0.3),
+        (2, 8, 1.0e154), (3, 16, 1.0e102), (1, 8, 1.0e308),
+    ],
 )
 def test_cell_volume_times_npoints_is_exact(dim, n, L):
     # n**dim is a power of two, so the quotient and the product round-trip
@@ -64,6 +67,8 @@ def test_wavenumbers_unit_box():
         (2, 17, 1.0, "power of two"),
         (2, 16, 0.0, "positive"),
         (2, 16, -3.0, "positive"),
+        (2, 8, 1.0e155, "float range"),
+        (3, 8, 1.0e103, "float range"),
     ],
 )
 def test_make_grid_rejects_bad_arguments(dim, n, L, msg):

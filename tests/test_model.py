@@ -462,6 +462,18 @@ def test_log_power_gamma_must_be_finite(gamma):
         NonlinearitySpec(kind="log_power", gamma=gamma)
 
 
+def test_log_power_series_ends_on_overflow():
+    # W^(gamma+1) overflows above W = 1, so the first term of the nq series
+    # is 0 * inf; entries below W = 1 keep their (tiny) values
+    nl = NonlinearitySpec(kind="log_power", gamma=1.0e300)
+    t = np.array([0.0, 0.5, 2.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        nq = nl.nq(t)
+        F = nl.F(t)
+    assert nq[0] == 0.0 and nq[1] == 0.0 and np.isnan(nq[2])
+    assert F[0] == 0.0 and F[1] == 0.0 and F[2] == np.inf
+
+
 @pytest.mark.parametrize("kind", ["constant", "periodic_trig", "periodic_plus_perturbation"])
 def test_perturbation_width_must_be_positive_for_every_kind(kind):
     with pytest.raises(ValueError, match="perturbation_width"):

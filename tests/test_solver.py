@@ -376,6 +376,45 @@ def test_warm_start_accepted():
 
 
 # ---------------------------------------------------------------------------
+# the Barzilai-Borwein first trial step
+
+
+def test_bb_step_falls_back_and_clips():
+    step = solver._bb_step
+    s = [np.array([1.0, 0.0]), np.array([0.5])]
+    # no positive curvature along s, or no change of the gradient
+    assert step(s, [np.array([-1.0, 0.0]), np.array([0.0])], 0.7) == 0.7
+    assert step(s, [np.array([0.0, 3.0]), np.array([0.0])], 0.7) == 0.7
+    assert step(s, [np.zeros(2), np.zeros(1)], 0.7) == 0.7
+    # inner products sum over both components: <s,y> = 1.5, <y,y> = 2
+    assert step(s, [np.array([1.0, 0.0]), np.array([1.0])], 1.0) == 0.75
+    assert step(s, [np.array([1.0, 0.0]), np.array([1.0])], 0.01) == 0.75
+    # kept within [1e-3, 1e3] * step_init
+    assert step(s, [np.array([1e6, 0.0]), np.array([0.0])], 2.0) == 2.0e-3
+    assert step(s, [np.array([1e-6, 0.0]), np.array([0.0])], 2.0) == 2.0e3
+    assert step(s, [np.array([1.0, 0.0]), np.array([1.0])], 1e-4) == 0.1
+
+
+def test_bb_step_at_least_halves_the_outer_iterations():
+    # a fixed first trial step of 1 took 106 iterations on this problem
+    rep = solve_ground_state(constant_problem())
+    assert rep.converged
+    assert rep.iterations <= 53
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8])
+def test_power3d_converges_at_default_tolerance(seed):
+    # the 3-D quartic problem of the benchmark; these seeds once stalled
+    # just above a residual of 1e-8, and a fixed first step of 1 needed 31
+    # iterations for each of them
+    prob = constant_problem(dim=3, n=32, s=0.8, nl_kind="pure_power", p=4.0)
+    rep = solve_ground_state(prob, opts=SolverOptions(max_iters=6000, seed=seed))
+    assert rep.converged and not rep.stalled
+    assert rep.gradient_residual < 1e-8
+    assert rep.iterations < 31
+
+
+# ---------------------------------------------------------------------------
 # geometry diagnostics
 
 
