@@ -56,10 +56,9 @@ class StatePair:
         return self.u.grid
 
     def scaled(self, t: float) -> "StatePair":
-        return StatePair(
-            Field(self.grid, t * self.u.values),
-            Field(self.grid, t * self.v.values),
-        )
+        """t times the pair; spectra already taken are scaled along, so the
+        scaled pair's quadratic form costs no transform."""
+        return StatePair(self.u.scaled(t), self.v.scaled(t))
 
     def has_positive_part(self) -> bool:
         return bool(
@@ -86,9 +85,9 @@ def _check_state(state: StatePair, problem: ProblemSpec) -> None:
 
 
 def _quadratic_parts(state: StatePair, problem: ProblemSpec) -> tuple:
-    """(Q1(u), Q2(v), 2 int lambda u v): the pieces of the energy that cost
-    transforms.  Each is quadratic in the pair, so for the scaled pair t x
-    they are t^2 times these, with no new transforms."""
+    """(Q1(u), Q2(v), 2 int lambda u v).  Q1 and Q2 read the components'
+    cached spectra, so only a component whose transform was never taken
+    costs one here."""
     dV = problem.grid.cell_volume
     u, v = state.u.values, state.v.values
     return (
@@ -96,16 +95,6 @@ def _quadratic_parts(state: StatePair, problem: ProblemSpec) -> tuple:
         hs_quadratic_form(state.v, problem.s2, problem.V2_field),
         2.0 * dV * float(np.sum(problem.coupling_field.values * u * v)),
     )
-
-
-def _energy_parts(quad: tuple, state: StatePair, problem: ProblemSpec) -> EnergyBreakdown:
-    """The breakdown of a pair whose quadratic pieces are already known."""
-    dV = problem.grid.cell_volume
-    quad_u, quad_v, coupling_term = quad
-    F1_integral = dV * float(np.sum(problem.nl1.F(state.u.values)))
-    F2_integral = dV * float(np.sum(problem.nl2.F(state.v.values)))
-    total = 0.5 * (quad_u + quad_v - coupling_term) - F1_integral - F2_integral
-    return EnergyBreakdown(quad_u, quad_v, coupling_term, F1_integral, F2_integral, total)
 
 
 def _nonlinear_pairing(state: StatePair, problem: ProblemSpec) -> float:
@@ -119,7 +108,12 @@ def _nonlinear_pairing(state: StatePair, problem: ProblemSpec) -> float:
 def energy(state: StatePair, problem: ProblemSpec) -> EnergyBreakdown:
     """Evaluate the functional and its term-by-term breakdown."""
     _check_state(state, problem)
-    return _energy_parts(_quadratic_parts(state, problem), state, problem)
+    dV = problem.grid.cell_volume
+    quad_u, quad_v, coupling_term = _quadratic_parts(state, problem)
+    F1_integral = dV * float(np.sum(problem.nl1.F(state.u.values)))
+    F2_integral = dV * float(np.sum(problem.nl2.F(state.v.values)))
+    total = 0.5 * (quad_u + quad_v - coupling_term) - F1_integral - F2_integral
+    return EnergyBreakdown(quad_u, quad_v, coupling_term, F1_integral, F2_integral, total)
 
 
 def coupled_quadratic(state: StatePair, problem: ProblemSpec) -> float:
@@ -142,24 +136,24 @@ def gradient(
     The preconditioner divides Fourier coefficients by |xi|^(2si) + mean(Vi),
     a positive symbol that tames the stiffness of the fractional operator
     without changing the set of stationary points.  It is applied in the
-    same inverse transform as the operator, so a preconditioned component
-    costs three real transforms and a plain one two.
+    same inverse transform as the operator.  Beyond the component's cached
+    spectrum a preconditioned component costs two transforms, a plain one one.
     """
     _check_state(state, problem)
     g = problem.grid
     lam = problem.coupling_field.values
     out = []
     for which, w, other, s, V, nl in (
-        (1, state.u.values, state.v.values, problem.s1, problem.V1_field, problem.nl1),
-        (2, state.v.values, state.u.values, problem.s2, problem.V2_field, problem.nl2),
+        (1, state.u, state.v.values, problem.s1, problem.V1_field, problem.nl1),
+        (2, state.v, state.u.values, problem.s2, problem.V2_field, problem.nl2),
     ):
         sym = g.symbol(s)
-        local = V.values * w - nl.f(w) - lam * other
+        local = V.values * w.values - nl.f(w.values) - lam * other
         if preconditioned:
-            spectrum = sym * sfft.rfftn(w) + sfft.rfftn(local)
+            spectrum = sym * w.spectrum + sfft.rfftn(local)
             gw = sfft.irfftn(spectrum / (sym + problem.mean_potential(which)), s=g.shape)
         else:
-            gw = sfft.irfftn(sym * sfft.rfftn(w), s=g.shape) + local
+            gw = sfft.irfftn(sym * w.spectrum, s=g.shape) + local
         out.append(Field(g, gw))
     return StatePair(*out)
 

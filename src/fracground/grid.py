@@ -12,6 +12,7 @@ which is spectrally accurate for smooth periodic integrands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -121,7 +122,9 @@ class Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Real samples of a function on a grid, row-major layout."""
+    """Real samples of a function on a grid, row-major layout.  The values
+    are read-only, never written after construction, so their transform
+    ``spectrum`` is taken at most once, on first use, and kept."""
 
     grid: Grid
     values: np.ndarray
@@ -138,7 +141,21 @@ class Field:
                 )
         if not np.all(np.isfinite(vals)):
             raise ValueError("field contains non-finite values")
+        vals = vals.view()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """``rfftn`` of the values: the half spectrum of ``Grid.symbol``."""
+        return sfft.rfftn(self.values)
+
+    def scaled(self, t: float) -> "Field":
+        """t times the field; a spectrum already taken is scaled along."""
+        out = Field(self.grid, t * self.values)
+        if "spectrum" in self.__dict__:
+            out.__dict__["spectrum"] = t * self.spectrum
+        return out
 
 
 def make_grid(dim: int, n_per_axis: int, box_length: float) -> Grid:
@@ -163,14 +180,18 @@ def make_grid(dim: int, n_per_axis: int, box_length: float) -> Grid:
     L = float(box_length)
     if not 0.0 < L < np.inf:
         raise _RuleError("box_length", f"box_length must be positive and finite, got {L}")
-    # n is a power of two, so dividing by n**dim and multiplying back is
-    # exact: cell_volume * npoints == L**dim holds bit for bit.
+    # n is a power of two, so for a normal cell volume dividing by n**dim
+    # and multiplying back is exact: cell_volume * npoints == L**dim.
     try:
         cell_volume = L**dim / n**dim
     except OverflowError:
         raise _RuleError(
             "box_length", f"box_length {L} gives a box volume L**{dim} beyond the float range"
         ) from None
+    # squared lengths (a bump's r^2 / width^2) must not underflow either
+    if min(cell_volume, (L / n) * (L / n)) < np.finfo(float).tiny:
+        msg = f"box_length {L} gives a cell volume or (L/n)**2 below the normal float range"
+        raise _RuleError("box_length", msg)
     w = 2.0 * np.pi * sfft.fftfreq(n, d=L / n)
     return Grid(dim, n, L, cell_volume, (w,) * dim)
 
@@ -185,13 +206,12 @@ def apply_frac_laplacian(u: Field, s: float) -> Field:
 
     s must lie in (0, 1]; s = 1 reproduces the spectral classical
     Laplacian, fractional orders interpolate between identity-like and
-    second-order behaviour per Fourier mode.  The field is real, so only
-    the half spectrum of a real transform is computed.
+    second-order behaviour per Fourier mode.  The field is real: its half
+    spectrum (Field.spectrum) is multiplied and transformed back.
     """
     _check_order(s, "s")
     g = u.grid
-    out = sfft.irfftn(g.symbol(s) * sfft.rfftn(u.values), s=g.shape)
-    return Field(g, out)
+    return Field(g, sfft.irfftn(g.symbol(s) * u.spectrum, s=g.shape))
 
 
 def integrate(w: Field) -> float:
@@ -211,16 +231,18 @@ def lp_norm(u: Field, p: float) -> float:
 def hs_quadratic_form(u: Field, s: float, V: Field) -> float:
     """Quadratic form int |(-Lap)^(s/2) u|^2 + V u^2 dx.
 
-    The half-order term is evaluated in physical space (apply the
-    multiplier of order s/2, square, integrate), the potential term by
-    plain quadrature.  V is any sampled weight; positivity is a modelling
-    concern checked elsewhere.
+    The half-order term (s/2 in (0, 1]) is the Parseval sum of
+    |xi|^(2s) |u_hat|^2 / npoints over the field's half spectrum, where the
+    last axis's modes other than 0 and n/2 stand for conjugate pairs and
+    count twice.  V is any sampled weight; positivity is checked elsewhere.
     """
+    _check_order(0.5 * s, "s")
     _check_same_grid(u, V)
-    half = apply_frac_laplacian(u, 0.5 * s)
-    kinetic = u.grid.cell_volume * float(np.sum(half.values**2))
-    potential = u.grid.cell_volume * float(np.sum(V.values * u.values**2))
-    return kinetic + potential
+    g, spec = u.grid, u.spectrum
+    p = g.symbol(s) * (spec.real**2 + spec.imag**2)
+    kinetic = float(2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1]))
+    potential = float(np.sum(V.values * u.values**2))
+    return g.cell_volume * (kinetic / g.npoints + potential)
 
 
 def write_field(u: Field, path) -> None:

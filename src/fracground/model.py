@@ -297,22 +297,24 @@ def _log_power_integral(t: np.ndarray, gamma: float, c: float) -> np.ndarray:
 def _log_power_series(W: np.ndarray, b: float, c: float) -> np.ndarray:
     """sum_{k>=1} (2^k - c) W^(k+b+1) / (k! (k+b+1)) for finite W >= 0.
 
-    Terms are added until the last one is below 2^-55 of the running sum
-    and the ratio of successive terms (at most 3W/(k+1) from k = 2 on) is
-    below 1/2, so the tail is below half an ulp.  An entry that has
-    converged is not changed by the terms added for larger entries, so each
-    result depends only on its own argument.
+    Term k is (1 - c 2^-k) / (k+b+1) times the running product
+    (2W)^k W^(b+1) / k!, which overflows (and the sum is inf) only within
+    about sqrt(W) of the sum itself.  Terms are added until the last one is
+    below 2^-55 of the running sum and the ratio of successive terms (at
+    most 3W/(k+1) from k = 2 on) is below 1/2, so the tail is below half an
+    ulp.  An entry that has converged is not changed by the terms added for
+    larger entries, so each result depends only on its own argument.
     """
-    power = W ** (b + 1.0)  # W^(k+b+1) / k! at k = 0
+    power = W ** (b + 1.0)  # (2W)^k W^(b+1) / k! at k = 0
     total = np.zeros_like(W)
     k_min = max(2.0, 6.0 * float(np.max(W, initial=0.0)))
     k = 0
     while True:
         k += 1
-        power = power * W / k
-        term = ((2.0**k - c) / (k + b + 1.0)) * power
+        power = power * (2.0 * W) / k
+        term = ((1.0 - c * 0.5**k) / (k + b + 1.0)) * power
         total += term
-        # a nan term (0 * inf, once W^(b+1) overflows) ends it like a small one
+        # a nan term (0 * inf, once W^(b+1) overflows) or an inf one ends it
         if k >= k_min and not np.any(term > 2.0**-55 * total):
             return total
 

@@ -6,9 +6,9 @@ form and N(t) = int f1(tu) tu + f2(tv) tv, the scale t solves N(t)/t^2 = Q;
 N(t)/t^2 is strictly increasing for admissible nonlinearities, so the root
 is unique.  Pure powers of one exponent give it in closed form; otherwise a
 safeguarded Newton iteration on ln(N(t)/t^2) against ln t finds it in a
-few evaluations of f and f' on the positive samples.  The quadratic form is
-quadratic along the ray, so a projected pair's quadratic pieces are t^2
-times those of the unprojected one and need no new transforms.
+few evaluations of f and f' on the positive samples.  Each field keeps its
+Fourier transform (grid.Field.spectrum) and a projected pair carries t times
+its trial's, so the projection's Q, the energy and the gradient share them.
 
 The outer iteration steps against the preconditioned gradient, projects
 the trial pair and accepts it once its energy is strictly lower,
@@ -33,9 +33,7 @@ from scipy import fft as sfft
 from .energy import (
     EnergyBreakdown,
     StatePair,
-    _energy_parts,
     _nonlinear_pairing,
-    _quadratic_parts,
     coupled_quadratic,
     energy,
     gradient,
@@ -160,24 +158,19 @@ def _require_valid(problem: ProblemSpec) -> None:
         raise ValidationFailed(f"validation failed: {names}")
 
 
-def nehari_project(state: StatePair, problem: ProblemSpec, *, quad: tuple | None = None) -> tuple:
+def nehari_project(state: StatePair, problem: ProblemSpec) -> tuple:
     """Scale a pair onto the constraint set.
 
     Returns (t0, scaled_state) with nehari_value(scaled_state) ~ 0.  t0 is
     the unique root of N(t)/t^2 = Q (see the module docstring): in closed
     form when every component with a positive part is a pure power of one
     exponent p, t0 = (Q / int(u+^p + v+^p))^(1/(p-2)); otherwise by
-    safeguarded Newton from t = 1.  ``quad`` may carry the pair's quadratic
-    pieces (Q1(u), Q2(v), 2 int lambda u v) when the caller already has
-    them.  Raises NotInEPlus without a positive part and BracketFailure when
-    Q <= 0 or no root lies in [2^-60, 2^60].
+    safeguarded Newton from t = 1.  Raises NotInEPlus without a positive
+    part and BracketFailure when Q <= 0 or no root lies in [2^-60, 2^60].
     """
     if not state.has_positive_part():
         raise NotInEPlus("state has no positive part in either component")
-    if quad is None:
-        Q = coupled_quadratic(state, problem)
-    else:
-        Q = quad[0] + quad[1] - quad[2]
+    Q = coupled_quadratic(state, problem)
     if not 0.0 < Q < np.inf:
         raise BracketFailure(
             f"coupled quadratic form is {Q:.3g}; no projection exists"
@@ -258,19 +251,6 @@ def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
     raise BracketFailure(f"Newton on the ray did not settle in {_NEWTON_ITERS} steps")
 
 
-def _project(trial: StatePair, problem: ProblemSpec) -> tuple:
-    """(t0, projected pair, its energy breakdown) of a trial pair.
-
-    The trial's quadratic pieces are computed once: they give the
-    projection its Q and, times t0^2, the projected pair's quadratic
-    pieces, so only the F integrals are evaluated at the projected pair.
-    """
-    quad = _quadratic_parts(trial, problem)
-    t0, projected = nehari_project(trial, problem, quad=quad)
-    t2 = t0 * t0
-    return t0, projected, _energy_parts(tuple(t2 * q for q in quad), projected, problem)
-
-
 def _jittered_bump(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """A centered unit bump of width L/8, each sample scaled by 1 + 0.05 N(0, 1)."""
     bump = gaussian_bump(grid, 0.125 * grid.box_length)
@@ -332,9 +312,9 @@ def solve_ground_state(
     if not init.has_positive_part():
         raise NotInEPlus("initial state has no positive part in either component")
 
-    t0, state, parts = _project(init, problem)
+    t0, state = nehari_project(init, problem)
     t_history = [t0]
-    E = parts.total
+    E = energy(state, problem).total
     grad = gradient(state, problem, preconditioned=True)
     last_decrease = np.inf
     eta0 = opts.step_init
@@ -358,13 +338,14 @@ def solve_ground_state(
                 cu = np.maximum(cu, 0.0)
                 cv = np.maximum(cv, 0.0)
             try:
-                t0, cand, parts = _project(
+                t0, cand = nehari_project(
                     StatePair(Field(problem.grid, cu), Field(problem.grid, cv)),
                     problem,
                 )
             except (NotInEPlus, BracketFailure):
                 eta *= opts.backtrack_factor
                 continue
+            parts = energy(cand, problem)
             Ec = parts.total
             if Ec < E:
                 accepted = True

@@ -383,6 +383,7 @@ def test_required_keys_alone_take_the_owners_defaults():
     "override",
     [
         "dim=4", "n=48", "n=4", "L=0", "L=-1", "L=inf", "L=nan", "L=1e400",
+        "L=1e-200", "L=1e-154",
         "s1=1.5", "s2=0", "s2=nan",
         "V1.kind=bogus", "V1.trig_amplitude=0.5", "V1.trig_periods=0",
         "V2.trig_periods=1,-2", "V1.perturbation_amplitude=0.1",

@@ -220,6 +220,40 @@ def test_quadratic_form_coercive(delta):
         assert q >= (1.0 - delta) * norm_sq - 1e-10 * norm_sq
 
 
+def test_scaled_pair_properties():
+    # a scaled pair carries t times the spectra already taken: its quadratic
+    # form is t^2 times the original's, and its energy equals that of a pair
+    # built afresh from the same values
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(
+        max_examples=60, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(
+        seed=st.integers(0, 2**16),
+        log_t=st.floats(-3.0, 3.0),
+        s=st.floats(0.1, 1.0),
+        nl_kind=st.sampled_from(["log_power", "pure_power"]),
+        positive=st.booleans(),
+    )
+    def check(seed, log_t, s, nl_kind, positive):
+        prob = constant_problem(n=16, s=s, nl_kind=nl_kind, gamma=1.5, p=3.0)
+        g = prob.grid
+        t = 10.0**log_t
+        x = smooth_pair(prob, seed, positive=positive)
+        Q = coupled_quadratic(x, prob)
+        scaled = x.scaled(t)
+        assert abs(coupled_quadratic(scaled, prob) - t * t * Q) <= 1e-13 * t * t * Q
+        parts = energy(scaled, prob)
+        fresh = energy(StatePair(Field(g, scaled.u.values), Field(g, scaled.v.values)), prob)
+        size = 0.5 * (fresh.quad_u + fresh.quad_v + abs(fresh.coupling_term))
+        size += abs(fresh.F1_integral) + abs(fresh.F2_integral)
+        assert abs(parts.total - fresh.total) <= 1e-13 * size
+
+    check()
+
+
 def test_energy_translation_invariance():
     # rolling the state by a full period of every weight leaves the
     # energy unchanged; sampled trig weights make this exact resampling

@@ -124,12 +124,14 @@ def test_nonquadratic_identity():
 def test_log_power_matches_high_precision_reference(gamma):
     # F and nq against the defining integral and f t - 2F evaluated in 40
     # digits, over the whole range and on both sides of the closed-form
-    # switch (integer gamma only; other gamma sum the series throughout)
+    # switch (integer gamma only; other gamma sum the series throughout,
+    # and far out, where the rounding of W grows, to within 1e-13)
     mp = pytest.importorskip("mpmath")
     from fracground.model import _closed_form_switch
 
     nl = NonlinearitySpec(kind="log_power", gamma=gamma)
     ts = list(np.geomspace(1e-10, 1e6, 33))
+    far = [1e40, 1e80] if gamma == 1.5 else []
     switch = _closed_form_switch(gamma)
     if np.isfinite(switch):
         t0 = float(np.expm1(switch))
@@ -138,7 +140,8 @@ def test_log_power_matches_high_precision_reference(gamma):
         W = np.log1p(ts)
         assert np.any(W <= switch) and np.any(W > switch)
     with mp.workdps(40):
-        for t in ts:
+        for t in ts + far:
+            tol = 1e-13 if t in far else 1e-14
             # F(t) = t^2 L^gamma int_0^1 s (ln(1+ts)/L)^gamma ds, L = ln(1+t),
             # so the quadrature sees an integrand of order one at every t
             tm = mp.mpf(float(t))
@@ -151,8 +154,8 @@ def test_log_power_matches_high_precision_reference(gamma):
             assert err <= 1e-25
             F_ref = tm * tm * L**gamma * scaled
             nq_ref = tm * tm * L**gamma - 2 * F_ref
-            assert abs(nl.F(t) - F_ref) <= 1e-14 * F_ref, t
-            assert abs(nl.nq(t) - nq_ref) <= 1e-14 * nq_ref, t
+            assert abs(nl.F(t) - F_ref) <= tol * F_ref, t
+            assert abs(nl.nq(t) - nq_ref) <= tol * nq_ref, t
 
 
 @pytest.mark.parametrize(

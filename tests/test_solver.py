@@ -201,14 +201,16 @@ def test_projection_properties():
 
 @pytest.mark.parametrize("nl", [LOG1, QUARTIC], ids=["log_power", "pure_power"])
 def test_line_search_energy_from_scaled_pieces(nl):
-    # the projected candidate's energy reuses the trial's quadratic pieces,
-    # scaled by t^2; it must agree with a fresh evaluation
+    # a projected pair carries t0 times its trial's spectra, so its energy
+    # takes no transform; it must agree with a pair built afresh from the
+    # same values
     prob = dataclasses.replace(constant_problem(s=0.8), nl1=nl, nl2=nl)
+    g = prob.grid
     for seed in range(4):
         trial = smooth_pair(prob, seed, positive=seed % 2 == 0).scaled(0.3 + seed)
-        t0, cand, parts = solver._project(trial, prob)
-        fresh = energy(cand, prob)
-        assert t0 == nehari_project(trial, prob)[0]
+        _, cand = nehari_project(trial, prob)
+        parts = energy(cand, prob)
+        fresh = energy(StatePair(Field(g, cand.u.values), Field(g, cand.v.values)), prob)
         assert abs(parts.total - fresh.total) <= 1e-13 * abs(fresh.total)
         scale = fresh.quad_u + fresh.quad_v
         for name in ("quad_u", "quad_v", "coupling_term"):
@@ -242,6 +244,24 @@ def test_solve_computes_each_gradient_once(monkeypatch):
     assert flat_checks
     assert len({id(a) for a in seen}) == len(seen)
     assert len(seen) >= rep.iterations + 1
+
+
+def test_solve_takes_at_most_seven_transforms_per_iteration(monkeypatch):
+    # each trial pair takes its two forward transforms once: the projection's
+    # Q, the projected pair's energy and its gradient share them, so an
+    # accepted step costs 2 + 4 (the preconditioned gradient)
+    import scipy.fft
+
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(scipy.fft, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    rep = solve_ground_state(constant_problem())
+    assert rep.converged
+    assert len(calls) <= 7 * rep.iterations + 6
 
 
 # ---------------------------------------------------------------------------
