@@ -15,15 +15,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .energy import StatePair
 from .experiments import (
-    PerturbationSignViolation,
     compare_periodic_limit,
     lambda_sweep,
     decoupling_limit,
     write_sweep_csv,
 )
-from .grid import Grid, _RuleError, make_grid, write_field
+from .grid import Grid, _RuleError, write_field
 from .model import (
     NonlinearitySpec,
     ProblemSpec,
@@ -33,7 +31,6 @@ from .model import (
 )
 from .solver import (
     BracketFailure,
-    NotInEPlus,
     SolverOptions,
     _best_of,
     _check_restarts,
@@ -98,7 +95,7 @@ class ParsedConfig:
 
 
 # The owner of each config key: the type that holds its field, enforces its
-# rules and gives its default ("grid" fields are make_grid's arguments).
+# rules and gives its default.
 _OWNERS = {
     "grid": Grid,
     "problem": ProblemSpec,
@@ -218,7 +215,7 @@ def _build(pairs: dict) -> ParsedConfig:
     problem = make(
         "problem",
         ProblemSpec,
-        grid=make("grid", make_grid),
+        grid=make("grid", Grid),
         **{w: make(w, ScalarFunctionSpec) for w in ("V1", "V2", "coupling")},
         **{nl: make(nl, NonlinearitySpec) for nl in ("nl1", "nl2")},
     )
@@ -267,15 +264,6 @@ def render_config(cfg: ParsedConfig) -> str:
     )
 
 
-def _write_report(out_dir: Path, text: str) -> None:
-    (out_dir / "report.txt").write_text(text, encoding="ascii")
-
-
-def _write_state(out_dir: Path, state: StatePair) -> None:
-    write_field(state.u, out_dir / "u.field")
-    write_field(state.v, out_dir / "v.field")
-
-
 def _sweep_rows_text(rows) -> str:
     lines = ["scale       level           converged"]
     for r in rows:
@@ -284,66 +272,59 @@ def _sweep_rows_text(rows) -> str:
 
 
 def _dispatch(args, cfg: ParsedConfig, out_dir: Path) -> int:
+    """Run one subcommand and write its outputs.
+
+    Each branch only computes the report ``text`` and whether it succeeded
+    (``ok``), plus the solved ``state`` pair (solve, solve-scalar, diagnose)
+    or the sweep ``rows`` (sweep, limit) where it has them.  One tail then
+    writes ``report.txt`` (the text and a newline), ``sweep.csv`` from the
+    rows and ``u.field``/``v.field`` from the pair, prints the text, and
+    returns 0 on success; a failure is exit 1 for ``check`` (an assumption
+    fails) and exit 2 for every other subcommand (no convergence).
+    """
     problem, opts = cfg.problem, cfg.options
     command = args.command
+    state = rows = None
 
     if command == "check":
         report = validate_assumptions(problem)
-        text = report.render()
-        _write_report(out_dir, text + "\n")
-        print(text)
-        return 0 if report.all_passed else 1
-
-    if command == "solve":
+        text, ok = report.render(), report.all_passed
+    elif command == "solve":
         rep = solve_with_restarts(problem, opts=opts, restarts=args.restarts)
-        _write_report(out_dir, rep.summary() + "\n")
-        _write_state(out_dir, rep.state)
-        print(rep.summary())
-        return 0 if rep.converged else 2
-
-    if command == "solve-scalar":
+        text, ok, state = rep.summary(), rep.converged, rep.state
+    elif command == "solve-scalar":
         best = _best_of(
             lambda o: solve_scalar_ground_state(cfg.scalar_which, problem, opts=o),
             opts,
             args.restarts,
         )
         text = f"component = {cfg.scalar_which}\n" + best.summary()
-        _write_report(out_dir, text + "\n")
-        _write_state(out_dir, best.state)
-        print(text)
-        return 0 if best.converged else 2
-
-    if command == "sweep":
+        ok, state = best.converged, best.state
+    elif command == "sweep":
         report = lambda_sweep(problem, cfg.sweep_scales, opts=opts)
-        write_sweep_csv(report.rows, out_dir / "sweep.csv")
+        rows = report.rows
         text = (
-            _sweep_rows_text(report.rows)
+            _sweep_rows_text(rows)
             + f"\nmonotone_decreasing = {report.monotone_decreasing}"
             + f"\nscalar_levels = {report.scalar_levels[0]!r}, {report.scalar_levels[1]!r}"
             + f"\nlimit_level = {report.limit_level!r}"
         )
-        _write_report(out_dir, text + "\n")
-        print(text)
-        return 0 if all(r.converged for r in report.rows) else 2
-
-    if command == "compare-periodic":
+        ok = all(r.converged for r in rows)
+    elif command == "compare-periodic":
         rep = compare_periodic_limit(problem, opts=opts, restarts=args.restarts)
+        ok = rep.converged_periodic and rep.converged_perturbed
         text = (
             f"level_periodic  = {rep.level_periodic!r}\n"
             f"level_perturbed = {rep.level_perturbed!r}\n"
             f"gap = {rep.gap!r} (margin {rep.margin!r})\n"
             f"ordering_holds = {rep.ordering_holds}\n"
-            f"converged = {rep.converged_periodic and rep.converged_perturbed}"
+            f"converged = {ok}"
         )
-        _write_report(out_dir, text + "\n")
-        print(text)
-        return 0 if (rep.converged_periodic and rep.converged_perturbed) else 2
-
-    if command == "limit":
+    elif command == "limit":
         report = decoupling_limit(problem, cfg.limit_scales, opts=opts)
-        write_sweep_csv(report.rows, out_dir / "sweep.csv")
+        rows = report.rows
         text = (
-            _sweep_rows_text(report.rows)
+            _sweep_rows_text(rows)
             + f"\nscalar_levels = {report.scalar_levels[0]!r}, {report.scalar_levels[1]!r}"
             + f"\ntie = {report.tie}\nsurvivor = {report.survivor}"
             + f"\nvanishing_mass_ratio = {report.vanishing_mass_ratio}"
@@ -351,22 +332,25 @@ def _dispatch(args, cfg: ParsedConfig, out_dir: Path) -> int:
             + f"\nbranch_switch_flagged = {report.branch_switch_flagged}"
             + f"\nmass_bounded = {report.mass_bounded}"
         )
-        _write_report(out_dir, text + "\n")
-        print(text)
-        return 0 if all(r.converged for r in report.rows) else 2
-
-    if command == "diagnose":
+        ok = all(r.converged for r in rows)
+    elif command == "diagnose":
         rep = solve_ground_state(problem, opts=opts)
         diag = mountain_pass_diagnostics(
             problem, rep.state, opts=opts, reference_level=rep.level
         )
         text = rep.summary() + "\n" + diag.summary()
-        _write_report(out_dir, text + "\n")
-        _write_state(out_dir, rep.state)
-        print(text)
-        return 0 if rep.converged else 2
+        ok, state = rep.converged, rep.state
+    else:
+        raise AssertionError(f"unhandled command {command!r}")
 
-    raise AssertionError(f"unhandled command {command!r}")
+    (out_dir / "report.txt").write_text(text + "\n", encoding="ascii")
+    if rows is not None:
+        write_sweep_csv(rows, out_dir / "sweep.csv")
+    if state is not None:
+        write_field(state.u, out_dir / "u.field")
+        write_field(state.v, out_dir / "v.field")
+    print(text)
+    return 0 if ok else 1 if command == "check" else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +407,7 @@ def run(argv) -> int:
 
     try:
         return _dispatch(args, cfg, out_dir)
-    except (ValidationFailed, NotInEPlus, PerturbationSignViolation, ValueError) as exc:
+    except (ValidationFailed, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BracketFailure as exc:

@@ -1,8 +1,11 @@
 """Parameter studies: coupling sweeps, periodic comparison, decoupling limit.
 
 These drive the single-problem solver across families of problems and
-summarize the levels.  CSV output uses 17 significant digits so values
-round-trip through text exactly.
+summarize the levels.  The sweep and the decoupling limit walk the same
+warm-started branch of coupling scales (``_branch``), so both refuse a
+scale whose coupling breaks the bound delta < 1 before solving anything.
+CSV output uses 17 significant digits so values round-trip through text
+exactly.
 """
 
 from __future__ import annotations
@@ -116,10 +119,29 @@ def _row(scale: float, report: SolveReport) -> SweepRow:
     )
 
 
-def _scalar_levels(problem: ProblemSpec, opts: SolverOptions) -> tuple:
-    c1 = solve_scalar_ground_state(1, problem, opts=opts)
-    c2 = solve_scalar_ground_state(2, problem, opts=opts)
-    return (c1, c2)
+def _branch(problem: ProblemSpec, scales, opts: SolverOptions) -> tuple:
+    """Both scalar ground states, then one coupled solve per scale in the
+    order given, each warm-started from the one before.
+
+    Every scaled coupling is checked against the bound delta < 1 before
+    anything is solved; the smallest scale that breaks it is named.
+    Returns ((scalar 1, scalar 2), coupled reports in ``scales`` order).
+    """
+    scaled = {s: problem.with_coupling_scale(s) for s in scales}
+    for s in sorted(scaled):
+        d = scaled[s].delta_eff
+        if d >= 1.0:
+            raise ValueError(
+                f"scale {s} pushes the relative coupling size to {d:.6g} >= 1"
+            )
+    scalars = tuple(solve_scalar_ground_state(c, problem, opts=opts) for c in (1, 2))
+    reports = []
+    warm: StatePair | None = None
+    for s in scales:
+        report = solve_ground_state(scaled[s], init=warm, opts=opts)
+        warm = report.state
+        reports.append(report)
+    return scalars, reports
 
 
 def lambda_sweep(
@@ -141,23 +163,8 @@ def lambda_sweep(
         raise ValueError("scales must be non-negative")
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly increasing")
-    for s in scales:
-        d = problem.with_coupling_scale(s).delta_eff
-        if d >= 1.0:
-            raise ValueError(
-                f"scale {s} pushes the relative coupling size to {d:.6g} >= 1"
-            )
-
-    rep1, rep2 = _scalar_levels(problem, opts)
-
-    rows_desc = []
-    warm: StatePair | None = None
-    for s in reversed(scales):
-        scaled = problem.with_coupling_scale(s)
-        report = solve_ground_state(scaled, init=warm, opts=opts)
-        warm = report.state
-        rows_desc.append(_row(s, report))
-    rows = tuple(reversed(rows_desc))
+    (rep1, rep2), reports = _branch(problem, scales[::-1], opts)
+    rows = tuple(_row(s, r) for s, r in zip(scales, reversed(reports)))
 
     conv_levels = [r.level for r in rows if r.converged]
     monotone = all(b < a for a, b in zip(conv_levels, conv_levels[1:]))
@@ -214,6 +221,8 @@ def decoupling_limit(
 ) -> LimitReport:
     """Degeneration along a coupling sequence decreasing to zero.
 
+    Scales must be strictly decreasing and positive, and, as in
+    lambda_sweep, each scaled coupling must keep the relative size below 1.
     Tracks levels and component masses down the sequence (warm-started),
     compares against the two scalar levels, and cross-checks the smallest
     scale with a cold start to expose branch switching.
@@ -227,20 +236,11 @@ def decoupling_limit(
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
 
-    rep1, rep2 = _scalar_levels(problem, opts)
+    (rep1, rep2), reports = _branch(problem, scales, opts)
     c1, c2 = rep1.level, rep2.level
     tie = abs(c1 - c2) < TIE_TOLERANCE
     survivor = None if tie else (1 if c1 < c2 else 2)
-
-    rows = []
-    reports = []
-    warm: StatePair | None = None
-    for s in scales:
-        scaled = problem.with_coupling_scale(s)
-        report = solve_ground_state(scaled, init=warm, opts=opts)
-        warm = report.state
-        rows.append(_row(s, report))
-        reports.append(report)
+    rows = [_row(s, r) for s, r in zip(scales, reports)]
 
     cold = solve_ground_state(problem.with_coupling_scale(scales[-1]), opts=opts)
     branch_discrepancy = abs(cold.level - rows[-1].level)

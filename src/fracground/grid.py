@@ -11,7 +11,8 @@ which is spectrally accurate for smooth periodic integrands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import os
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,18 +59,52 @@ def _check_order(s: float, field: str) -> None:
 class Grid:
     """Uniform periodic grid on [0, L)^dim.
 
-    Instances are immutable; derived arrays (coordinates, multiplier
-    symbols) are computed lazily and cached.
+    dim is 1 to 3 and n_per_axis a power of two >= 8; box_length L is
+    positive and finite, with L**dim, the cell volume and (L/n)**2 in the
+    normal float range.  Instances are immutable: ``cell_volume``
+    (L**dim / n**dim) is set on construction, derived arrays (wavenumbers,
+    coordinates, multiplier symbols) are computed lazily and cached.
     """
 
     dim: int
     n_per_axis: int
     box_length: float
-    cell_volume: float
-    wavenumbers: tuple = dc_field(compare=False, repr=False, default=())
 
     def __post_init__(self):
+        if self.dim not in (1, 2, 3):
+            raise _RuleError("dim", f"dim must be 1, 2, or 3, got {self.dim}")
+        dim = int(self.dim)
+        n = int(self.n_per_axis)
+        if n != self.n_per_axis or n < 8 or (n & (n - 1)) != 0:
+            raise _RuleError(
+                "n_per_axis", f"n_per_axis must be a power of two >= 8, got {self.n_per_axis}"
+            )
+        L = float(self.box_length)
+        if not 0.0 < L < np.inf:
+            raise _RuleError("box_length", f"box_length must be positive and finite, got {L}")
+        # n is a power of two, so for a normal cell volume dividing by n**dim
+        # and multiplying back is exact: cell_volume * npoints == L**dim.
+        try:
+            cell_volume = L**dim / n**dim
+        except OverflowError:
+            raise _RuleError(
+                "box_length", f"box_length {L} gives a box volume L**{dim} beyond the float range"
+            ) from None
+        # squared lengths (a bump's r^2 / width^2) must not underflow either
+        if min(cell_volume, (L / n) * (L / n)) < np.finfo(float).tiny:
+            msg = f"box_length {L} gives a cell volume or (L/n)**2 below the normal float range"
+            raise _RuleError("box_length", msg)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "n_per_axis", n)
+        object.__setattr__(self, "box_length", L)
+        object.__setattr__(self, "cell_volume", cell_volume)
         object.__setattr__(self, "_cache", {})
+
+    @cached_property
+    def wavenumbers(self) -> tuple:
+        """Angular wavenumbers xi = 2*pi*k/L of each axis, in FFT layout."""
+        n = self.n_per_axis
+        return (2.0 * np.pi * sfft.fftfreq(n, d=self.box_length / n),) * self.dim
 
     @property
     def shape(self) -> tuple:
@@ -159,41 +194,8 @@ class Field:
 
 
 def make_grid(dim: int, n_per_axis: int, box_length: float) -> Grid:
-    """Build a periodic grid.
-
-    Parameters
-    ----------
-    dim : int
-        Spatial dimension, 1 to 3.
-    n_per_axis : int
-        Points per axis; must be a power of two and at least 8.
-    box_length : float
-        Side length L of the periodic box, strictly positive.
-    """
-    if dim not in (1, 2, 3):
-        raise _RuleError("dim", f"dim must be 1, 2, or 3, got {dim}")
-    n = int(n_per_axis)
-    if n != n_per_axis or n < 8 or (n & (n - 1)) != 0:
-        raise _RuleError(
-            "n_per_axis", f"n_per_axis must be a power of two >= 8, got {n_per_axis}"
-        )
-    L = float(box_length)
-    if not 0.0 < L < np.inf:
-        raise _RuleError("box_length", f"box_length must be positive and finite, got {L}")
-    # n is a power of two, so for a normal cell volume dividing by n**dim
-    # and multiplying back is exact: cell_volume * npoints == L**dim.
-    try:
-        cell_volume = L**dim / n**dim
-    except OverflowError:
-        raise _RuleError(
-            "box_length", f"box_length {L} gives a box volume L**{dim} beyond the float range"
-        ) from None
-    # squared lengths (a bump's r^2 / width^2) must not underflow either
-    if min(cell_volume, (L / n) * (L / n)) < np.finfo(float).tiny:
-        msg = f"box_length {L} gives a cell volume or (L/n)**2 below the normal float range"
-        raise _RuleError("box_length", msg)
-    w = 2.0 * np.pi * sfft.fftfreq(n, d=L / n)
-    return Grid(dim, n, L, cell_volume, (w,) * dim)
+    """Build a periodic grid; :class:`Grid` holds the rules of its arguments."""
+    return Grid(dim, n_per_axis, box_length)
 
 
 def _check_same_grid(a: Field, b: Field) -> None:
@@ -229,14 +231,14 @@ def lp_norm(u: Field, p: float) -> float:
 
 
 def hs_quadratic_form(u: Field, s: float, V: Field) -> float:
-    """Quadratic form int |(-Lap)^(s/2) u|^2 + V u^2 dx.
+    """Quadratic form int |(-Lap)^(s/2) u|^2 + V u^2 dx, order s in (0, 1].
 
-    The half-order term (s/2 in (0, 1]) is the Parseval sum of
+    The half-order term is the Parseval sum of
     |xi|^(2s) |u_hat|^2 / npoints over the field's half spectrum, where the
     last axis's modes other than 0 and n/2 stand for conjugate pairs and
     count twice.  V is any sampled weight; positivity is checked elsewhere.
     """
-    _check_order(0.5 * s, "s")
+    _check_order(s, "s")
     _check_same_grid(u, V)
     g, spec = u.grid, u.spectrum
     p = g.symbol(s) * (spec.real**2 + spec.imag**2)
@@ -292,10 +294,10 @@ def read_field(path) -> Field:
                 f"count={count} but a {dim}-d grid with n={n} has "
                 f"{grid.npoints} points"
             )
-        payload = fh.read(8 * count + 1)
-        if len(payload) != 8 * count:
-            raise FieldFormatError(
-                f"expected exactly {8 * count} payload bytes, got {len(payload)}"
-            )
+        # the file size, not the header, bounds the read
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != 8 * count:
+            raise FieldFormatError(f"expected exactly {8 * count} payload bytes, got {left}")
+        payload = fh.read(left)
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return Field(grid, values.reshape(grid.shape))

@@ -90,14 +90,19 @@ class ScalarFunctionSpec:
         object.__setattr__(self, "trig_periods", tuple(int(m) for m in periods))
         if any(m < 1 for m in self.trig_periods):
             raise _RuleError("trig_periods", "trig_periods must be positive integers")
+        for name in ("base_constant", "trig_amplitude", "perturbation_amplitude"):
+            if not np.isfinite(getattr(self, name)):
+                raise _RuleError(name, f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "constant" and self.trig_amplitude != 0.0:
             raise _RuleError("trig_amplitude", "constant kind admits no trig part")
         if not self.has_perturbation and self.perturbation_amplitude != 0.0:
             raise _RuleError(
                 "perturbation_amplitude", f"{self.kind} kind admits no perturbation part"
             )
-        if not self.perturbation_width > 0.0:
-            raise _RuleError("perturbation_width", "perturbation_width must be positive")
+        if not 0.0 < self.perturbation_width < np.inf:
+            raise _RuleError(
+                "perturbation_width", "perturbation_width must be positive and finite"
+            )
 
     @property
     def has_perturbation(self) -> bool:

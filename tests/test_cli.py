@@ -392,6 +392,7 @@ def test_required_keys_alone_take_the_owners_defaults():
         "solver.max_iters=0", "solver.step_init=0", "solver.backtrack_factor=1.0",
         "solver.backtrack_factor=0", "solver.tol_energy=-1", "solver.tol_residual=nan",
         "scalar.which=3",
+        "V1.base=inf", "coupling.base=nan", "coupling.perturbation_width=inf",
     ],
 )
 def test_out_of_range_override_names_its_key(override):
@@ -499,3 +500,24 @@ def test_degenerate_single_key_overrides(tmp_path):
         assert run(argv) in (0, 1)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["check", "solve", "solve-scalar", "sweep", "compare-periodic", "limit", "diagnose"],
+)
+def test_every_subcommand_keeps_the_output_contract(tmp_path, capsys, command):
+    # stdout is report.txt; states and rows go only where the command has them
+    small = ["--set", "n=16", "--set", "sweep.scales=0.3,0.8", "--set", "limit.scales=0.4,0.1"]
+    expected = {"report.txt"}
+    if command in ("solve", "solve-scalar", "diagnose"):
+        expected |= {"u.field", "v.field"}
+    if command in ("sweep", "limit"):
+        expected |= {"sweep.csv"}
+    failing = ["--set", "coupling.base=1.5"] if command == "check" else ["--set", "solver.max_iters=1"]
+    cfg = write_config(tmp_path)
+    for extra, code in ((small, 0), (small + failing, 1 if command == "check" else 2)):
+        out = tmp_path / f"out-{code}"
+        assert run([command, "--config", str(cfg), "--out", str(out), *extra]) == code
+        assert capsys.readouterr().out == (out / "report.txt").read_text(encoding="ascii")
+        assert {p.name for p in out.iterdir()} == expected

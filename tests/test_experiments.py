@@ -185,6 +185,23 @@ def test_decoupling_limit_rejects_bad_scales():
         decoupling_limit(prob, (0.4, 0.0), opts=FAST)
 
 
+def test_decoupling_limit_checks_the_coupling_bound_before_solving(monkeypatch):
+    from fracground import experiments
+
+    calls = []
+    real = experiments.solve_scalar_ground_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_scalar_ground_state", counting)
+    prob = constant_problem(v1=1.0, v2=1.5, lam=1.0)
+    with pytest.raises(ValueError, match=">= 1"):
+        decoupling_limit(prob, (1.3, 0.5), opts=FAST)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 

@@ -6,6 +6,7 @@ import pytest
 from fracground import (
     Field,
     FieldFormatError,
+    Grid,
     GridMismatch,
     apply_frac_laplacian,
     hs_quadratic_form,
@@ -57,23 +58,42 @@ def test_wavenumbers_unit_box():
     assert np.count_nonzero(np.abs(g.wavenumbers[0]) == 8 * np.pi) == 1
 
 
-@pytest.mark.parametrize(
-    "dim,n,L,msg",
-    [
-        (0, 16, 1.0, "dim"),
-        (4, 16, 1.0, "dim"),
-        (2, 48, 1.0, "power of two"),
-        (2, 4, 1.0, "power of two"),
-        (2, 17, 1.0, "power of two"),
-        (2, 16, 0.0, "positive"),
-        (2, 16, -3.0, "positive"),
-        (2, 8, 1.0e155, "float range"),
-        (3, 8, 1.0e103, "float range"),
-    ],
-)
+BAD_GRID_ARGUMENTS = [
+    (0, 16, 1.0, "dim"),
+    (4, 16, 1.0, "dim"),
+    (2, 48, 1.0, "power of two"),
+    (2, 4, 1.0, "power of two"),
+    (2, 17, 1.0, "power of two"),
+    (2, 16, 0.0, "positive"),
+    (2, 16, -3.0, "positive"),
+    (2, 8, 1.0e155, "float range"),
+    (3, 8, 1.0e103, "float range"),
+]
+
+
+@pytest.mark.parametrize("dim,n,L,msg", BAD_GRID_ARGUMENTS)
 def test_make_grid_rejects_bad_arguments(dim, n, L, msg):
     with pytest.raises(ValueError, match=msg):
         make_grid(dim, n, L)
+
+
+@pytest.mark.parametrize("dim,n,L,msg", BAD_GRID_ARGUMENTS)
+def test_grid_itself_rejects_bad_arguments(dim, n, L, msg):
+    with pytest.raises(ValueError, match=msg):
+        Grid(dim, n, L)
+
+
+def test_grid_built_directly_matches_make_grid():
+    g = Grid(1, 16, 2.0 * np.pi)
+    ref = make_grid(1, 16, 2.0 * np.pi)
+    assert g == ref
+    assert g.cell_volume == ref.cell_volume
+    assert np.array_equal(g.wavenumbers[0], ref.wavenumbers[0])
+    x = g.axis_coordinates()
+    lap = apply_frac_laplacian(Field(g, np.sin(x)), 1.0)
+    assert np.allclose(lap.values, np.sin(x), rtol=0.0, atol=1e-13)
+    # whole-valued floats are taken as the integers they hold
+    assert Grid(2.0, 16.0, 8).shape == make_grid(2, 16, 8.0).shape == (16, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +194,16 @@ def test_quadratic_form_single_mode_value():
     V = Field(g, np.ones(g.shape))
     q = hs_quadratic_form(u, 1.0, V)
     assert q == pytest.approx(2.0 * np.pi, rel=1e-12)
+
+
+def test_quadratic_form_checks_the_order_itself():
+    g = make_grid(1, 16, 2.0 * np.pi)
+    u = Field(g, np.sin(g.axis_coordinates()))
+    V = Field(g, np.ones(g.shape))
+    with pytest.raises(ValueError, match="got 1.5"):
+        hs_quadratic_form(u, 1.5, V)
+    with pytest.raises(ValueError, match=r"\(0, 1\], got 3\.0"):
+        hs_quadratic_form(u, 3.0, V)
 
 
 @pytest.mark.parametrize("s", [0.35, 0.5, 1.0])
@@ -285,6 +315,13 @@ def _valid_file_bytes():
         (lambda b: b[:-8], "payload"),
         (lambda b: b + b"tail", "payload"),
         (lambda b: b.replace(b"n=8", b"n=7"), "power of two"),
+        (
+            lambda b: b.replace(
+                b"dim=1\nn=8\nL=1.0\ncount=8\n",
+                b"dim=3\nn=1048576\nL=8.0\ncount=1152921504606846976\n",
+            ),
+            "payload",
+        ),
     ],
 )
 def test_field_file_rejects_malformed_input(tmp_path, mutate, msg):
