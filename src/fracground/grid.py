@@ -222,9 +222,11 @@ def integrate(w: Field) -> float:
 
 
 def lp_norm(u: Field, p: float) -> float:
-    """L^p norm on the box, p >= 1."""
-    if p < 1.0:
+    """L^p norm on the box, p >= 1; p = inf gives max |u|."""
+    if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
+    if p == np.inf:
+        return float(np.max(np.abs(u.values)))
     return float(
         (u.grid.cell_volume * np.sum(np.abs(u.values) ** p)) ** (1.0 / p)
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -184,12 +184,12 @@ def perturbation_values(spec: ScalarFunctionSpec, grid: Grid):
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Superlinear nonlinearity f with derivative df, primitive F and
-    nq(t) = f(t)t - 2F(t).
+    """Superlinear nonlinearity f with derivative df, primitive F,
+    nq(t) = f(t)t - 2F(t) and its derivative dnq(t) = f'(t)t - f(t).
 
     kinds:
       log_power   f(t) = t * ln(1+t)^gamma for t > 0, gamma >= 1
-      pure_power  f(t) = t^(p-1) for t > 0, p > 2
+      pure_power  f(t) = t^(p-1) for t > 0, finite p > 2
     Both vanish identically on t <= 0.
     """
 
@@ -202,8 +202,8 @@ class NonlinearitySpec:
             raise _RuleError("kind", f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == "log_power" and not 1.0 <= self.gamma < np.inf:
             raise _RuleError("gamma", f"log_power needs a finite gamma >= 1, got {self.gamma}")
-        if self.kind == "pure_power" and not self.p > 2.0:
-            raise _RuleError("p", f"pure_power needs p > 2, got {self.p}")
+        if self.kind == "pure_power" and not 2.0 < self.p < np.inf:
+            raise _RuleError("p", f"pure_power needs a finite p > 2, got {self.p}")
 
     @property
     def growth_exponent(self) -> float:
@@ -237,6 +237,23 @@ class NonlinearitySpec:
             out = L**self.gamma + self.gamma * pos * L ** (self.gamma - 1.0) / (1.0 + pos)
         return out if out.ndim else float(out)
 
+    def dnq(self, t):
+        """Derivative of nq: f'(t)t - f(t) = t^2 (f(t)/t)'; accepts scalars
+        or arrays, 0 on t <= 0.
+
+        log_power: gamma t^2 ln(1+t)^(gamma-1) / (1+t), which takes no
+        logarithm at gamma = 1; pure_power: (p-2) t^(p-1).
+        """
+        t = np.asarray(t, dtype=np.float64)
+        pos = np.maximum(t, 0.0)
+        if self.kind == "pure_power":
+            out = (self.p - 2.0) * pos ** (self.p - 1.0)
+        else:
+            out = pos * (pos / (1.0 + pos))
+            if self.gamma != 1.0:
+                out = out * (self.gamma * np.log1p(pos) ** (self.gamma - 1.0))
+        return out if out.ndim else float(out)
+
     def F(self, t):
         """Primitive of f vanishing at 0."""
         t = np.asarray(t, dtype=np.float64)
@@ -265,12 +282,14 @@ class NonlinearitySpec:
 
 
 def _closed_form_switch(gamma: float) -> float:
-    """W = ln(1+t) above which the log_power integrals use their closed forms.
+    """W = ln(1+t) above which the log_power integrals may use their closed forms.
 
     Only integer gamma has closed forms.  Below this switch they lose digits
     to cancellation (for gamma = 3, 40 ulps at W = 0.75 and 300 at W = 0.5);
     from it on they stay within 5 ulps (checked up to gamma = 12).  Returns
-    inf for non-integer gamma.
+    inf for non-integer gamma.  The table (_log_power_table) comes first:
+    for gamma <= 3 the switch is at most _TABLE_W, so the closed forms take
+    over where the table ends.
     """
     return 1.0 + 0.5 * gamma if float(gamma).is_integer() else np.inf
 
@@ -280,35 +299,99 @@ def _log_power_integral(t: np.ndarray, gamma: float, c: float) -> np.ndarray:
 
     c = 1 gives F(t): substitute tau = e^w - 1 in int_0^t tau ln(1+tau)^gamma.
     c = 2 gives nq(t) / gamma.  The integrand is positive and so is every term
-    of its power series in W, so the series (_log_power_series) loses no
-    digits; above _closed_form_switch(gamma) integer gamma uses the
-    closed form instead (_log_power_closed).  Both agree with a
-    high-precision reference to within 1e-14 relative over t in [1e-10, 1e6]
-    for gamma in {1, 1.5, 2, 3}; the rounding of W dominates for large t.
-    Non-finite t passes through (inf stays inf, nan stays nan).
+    of its power series in W, so the series loses no digits.  Each range of W
+    has one path, chosen by the entry's own W alone:
+
+    - W up to the table bound (_TABLE_W, lower only where W^(b+1) nears
+      overflow): the series as one cached polynomial (_log_power_table);
+    - W beyond it and above _closed_form_switch(gamma), integer gamma: the
+      closed form (_log_power_closed);
+    - any other finite W: the series summed term by term until it has
+      converged (_log_power_series).
+
+    When every entry lies in the table's range, the usual case, the table
+    takes the whole array without masks.  All paths agree with a
+    high-precision reference to within 1e-14 relative over t in
+    [1e-10, 1e6] for gamma in {1, 1.5, 2, 2.7, 3}; the rounding of W
+    dominates for large t.  Non-finite t passes through (inf stays inf, nan
+    stays nan).
     """
     W = np.asarray(np.log1p(t))
-    out = W.copy()
     b = gamma + 1.0 - c
+    bound, coeffs = _series_table(b, c)
+    if np.max(W, initial=0.0) <= bound:  # false on nan
+        return _log_power_table(W, b, coeffs)
+    out = W.copy()
     finite = np.isfinite(W)
-    series = finite & (W <= _closed_form_switch(gamma))
-    closed = finite & ~series
-    out[series] = _log_power_series(W[series], b, c)
+    table = finite & (W <= bound)
+    closed = finite & ~table & (W > _closed_form_switch(gamma))
+    series = finite & ~table & ~closed
+    if np.any(table):
+        out[table] = _log_power_table(W[table], b, coeffs)
     if np.any(closed):
         out[closed] = _log_power_closed(t[closed], W[closed], int(b), c)
+    if np.any(series):
+        out[series] = _log_power_series(W[series], b, c)
     return out
+
+
+# Largest W summed by the cached polynomial of the log_power series.  It
+# reaches the closed-form switch 1 + gamma/2 of integer gamma <= 3.
+_TABLE_W = 2.5
+# Terms of that polynomial: at W = _TABLE_W the tail after 34 terms is below
+# 2^-55 of the sum for every b >= 0 (the weights 1/(k+b+1) flatten as b
+# grows, and b -> inf is the worst case), so it is below half an ulp for
+# every W in the table's range.
+_TABLE_TERMS = 34
+# The table takes W only while W^(b+1) <= e^700, so that its product with
+# W P(W) < e^(2W) <= e^5 stays finite.
+_TABLE_LOG_POWER_MAX = 700.0
+
+
+@lru_cache(maxsize=None)
+def _series_table(b: float, c: float) -> tuple:
+    """(bound, a): the table's largest W and the coefficients a_1..a_K of P.
+
+    a_k = (1 - c 2^-k) 2^k / (k! (k+b+1)), so the series of
+    _log_power_series is W^(b+2) P(W) with P(W) = sum_k a_k W^(k-1).
+    """
+    bound = min(_TABLE_W, math.exp(_TABLE_LOG_POWER_MAX / (b + 1.0)))
+    coeffs = np.array([
+        (1.0 - c * 0.5**k) * (2.0**k / math.factorial(k)) / (k + b + 1.0)
+        for k in range(1, _TABLE_TERMS + 1)
+    ])
+    return bound, coeffs
+
+
+def _log_power_table(W: np.ndarray, b: float, coeffs: np.ndarray) -> np.ndarray:
+    """W^(b+2) P(W) for 0 <= W <= the table bound, P summed by Horner's rule.
+
+    Every coefficient and every W is nonnegative, so each Horner step loses
+    no digits.  The degree is fixed and every step is elementwise, so each
+    result depends only on its own argument.
+    """
+    total = np.full_like(W, coeffs[-1])
+    for a in coeffs[-2::-1]:
+        total *= W
+        total += a
+    total *= W
+    total *= W ** (b + 1.0)
+    return total
 
 
 def _log_power_series(W: np.ndarray, b: float, c: float) -> np.ndarray:
     """sum_{k>=1} (2^k - c) W^(k+b+1) / (k! (k+b+1)) for finite W >= 0.
 
-    Term k is (1 - c 2^-k) / (k+b+1) times the running product
-    (2W)^k W^(b+1) / k!, which overflows (and the sum is inf) only within
-    about sqrt(W) of the sum itself.  Terms are added until the last one is
-    below 2^-55 of the running sum and the ratio of successive terms (at
-    most 3W/(k+1) from k = 2 on) is below 1/2, so the tail is below half an
-    ulp.  An entry that has converged is not changed by the terms added for
-    larger entries, so each result depends only on its own argument.
+    The path for finite W beyond the table's range that no closed form
+    takes: non-integer gamma beyond _TABLE_W, integer gamma >= 4 between
+    _TABLE_W and the switch, and W whose W^(b+1) nears overflow.  Term k is
+    (1 - c 2^-k) / (k+b+1) times the running product (2W)^k W^(b+1) / k!,
+    which overflows (and the sum is inf) only within about sqrt(W) of the
+    sum itself.  Terms are added until the last one is below 2^-55 of the
+    running sum and the ratio of successive terms (at most 3W/(k+1) from
+    k = 2 on) is below 1/2, so the tail is below half an ulp.  An entry that
+    has converged is not changed by the terms added for larger entries, so
+    each result depends only on its own argument.
     """
     power = W ** (b + 1.0)  # (2W)^k W^(b+1) / k! at k = 0
     total = np.zeros_like(W)

@@ -6,9 +6,12 @@ form and N(t) = int f1(tu) tu + f2(tv) tv, the scale t solves N(t)/t^2 = Q;
 N(t)/t^2 is strictly increasing for admissible nonlinearities, so the root
 is unique.  Pure powers of one exponent give it in closed form; otherwise a
 safeguarded Newton iteration on ln(N(t)/t^2) against ln t finds it in a
-few evaluations of f and f' on the positive samples.  Each field keeps its
-Fourier transform (grid.Field.spectrum) and a projected pair carries t times
-its trial's, so the projection's Q, the energy and the gradient share them.
+few evaluations on the positive samples.  Each evaluation takes f once for
+N and NonlinearitySpec.dnq, the closed form of f'(x)x - f(x), once for the
+slope int dnq(x) x / N; for log_power with gamma = 1 that closed form needs
+no logarithm.  Each field keeps its Fourier transform (grid.Field.spectrum)
+and a projected pair carries t times its trial's, so the projection's Q,
+the energy and the gradient share them.
 
 The outer iteration steps against the preconditioned gradient, projects
 the trial pair and accepts it once its energy is strictly lower,
@@ -184,7 +187,8 @@ def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
 
     f vanishes on t <= 0, so only positive samples enter N.  Newton works on
     h(ln t) = ln(N(t) / (t^2 Q)), whose slope is
-    t^3 (N/t^2)' / N = int (f'(x) x - f(x)) x / int f(x) x  over x = t u, t v:
+    t^3 (N/t^2)' / N = int dnq(x) x / int f(x) x  over x = t u, t v, with
+    dnq(x) = f'(x) x - f(x) (NonlinearitySpec.dnq):
     for a pure power h is linear, so one step lands on the root.  The
     evaluated points keep a bracket lo < root < hi; a step that leaves it,
     or that h cannot give (N underflows or overflows), goes instead to the
@@ -217,9 +221,8 @@ def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             for nl, x in parts:
                 y = t * x
-                fy = nl.f(y)
-                N += float(np.sum(fy * y))
-                D += float(np.sum((nl.df(y) * y - fy) * y))
+                N += float(np.sum(nl.f(y) * y))
+                D += float(np.sum(nl.dnq(y) * y))
         ratio = dV * N / Q / t / t
         if ratio == 0.0 or ratio == np.inf:
             return (-np.inf if ratio == 0.0 else np.inf), np.nan

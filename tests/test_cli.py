@@ -393,12 +393,15 @@ def test_required_keys_alone_take_the_owners_defaults():
         "solver.backtrack_factor=0", "solver.tol_energy=-1", "solver.tol_residual=nan",
         "scalar.which=3",
         "V1.base=inf", "coupling.base=nan", "coupling.perturbation_width=inf",
+        "nl1.kind=pure_power nl1.p=inf",
     ],
 )
 def test_out_of_range_override_names_its_key(override):
-    key = override.partition("=")[0]
+    # space-separated overrides apply in order; the last one breaks a rule
+    overrides = override.split()
+    key = overrides[-1].partition("=")[0]
     with pytest.raises(ConfigError, match=f"^override: key '{re.escape(key)}'"):
-        parse_config(BASE_CONFIG, overrides=[override])
+        parse_config(BASE_CONFIG, overrides=overrides)
 
 
 def test_rule_broken_in_the_file_names_key_and_line():

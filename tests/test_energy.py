@@ -254,6 +254,57 @@ def test_scaled_pair_properties():
     check()
 
 
+def _identity_check(test):
+    """Run test(prob, x) over seeds, ray scales x = t * (a smooth positive
+    pair), orders and nonlinearities."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(
+        max_examples=60, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(
+        seed=st.integers(0, 2**16),
+        log_t=st.floats(-2.0, 2.0),
+        s=st.floats(0.1, 1.0),
+        nl_kind=st.sampled_from(["log_power", "pure_power"]),
+    )
+    def check(seed, log_t, s, nl_kind):
+        prob = constant_problem(n=16, s=s, nl_kind=nl_kind, gamma=1.5, p=3.0)
+        test(prob, smooth_pair(prob, seed).scaled(10.0**log_t))
+
+    check()
+
+
+def test_energy_breakdown_identity_property():
+    # the total is the displayed combination of the parts, and
+    # coupled_quadratic is their quadratic part
+    def test(prob, x):
+        bd = energy(x, prob)
+        Q = bd.quad_u + bd.quad_v - bd.coupling_term
+        F = bd.F1_integral + bd.F2_integral
+        assert abs(bd.total - (0.5 * Q - F)) <= 1e-12 * (0.5 * Q + F)
+        assert abs(coupled_quadratic(x, prob) - Q) <= 1e-12 * Q
+
+    _identity_check(test)
+
+
+def test_nehari_value_is_ray_derivative_property():
+    # the central difference of t -> I(t x) at t = 1 is nehari_value(x),
+    # which ties F to f; on these pairs it agrees to about 1e-10 of the
+    # size of the terms
+    def test(prob, x):
+        eps = 1e-6
+        up = energy(x.scaled(1.0 + eps), prob).total
+        down = energy(x.scaled(1.0 - eps), prob).total
+        Q = coupled_quadratic(x, prob)
+        nv = nehari_value(x, prob)
+        size = Q + (Q - nv)
+        assert abs((up - down) / (2.0 * eps) - nv) <= 1e-8 * size
+
+    _identity_check(test)
+
+
 def test_energy_translation_invariance():
     # rolling the state by a full period of every weight leaves the
     # energy unchanged; sampled trig weights make this exact resampling

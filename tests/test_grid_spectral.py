@@ -186,6 +186,18 @@ def test_integrate_constant_and_norms():
         lp_norm(c, 0.5)
 
 
+def test_lp_norm_at_infinity_is_the_maximum():
+    # p = inf is the L^inf norm, whatever the box; nan is no order at all
+    g = make_grid(2, 8, 4.0)
+    vals = np.full(g.shape, 0.5)
+    vals[1, 2] = -0.75
+    u = Field(g, vals)
+    assert lp_norm(u, np.inf) == 0.75
+    assert lp_norm(Field(g, np.full(g.shape, 0.5)), np.inf) == 0.5
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lp_norm(u, np.nan)
+
+
 def test_quadratic_form_single_mode_value():
     # u = sin(x) on [0, 2 pi), V = 1, s = 1:
     # int (u')^2 = pi and int u^2 = pi, so the form equals 2 pi

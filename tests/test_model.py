@@ -120,25 +120,35 @@ def test_nonquadratic_identity():
         assert np.max(np.abs(direct - combined)) <= 1e-12 * np.max(np.abs(direct))
 
 
-@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 1.5])
+def _both_sides(W0):
+    """Arguments t around t0 = e^W0 - 1 whose W = ln(1+t) falls on both sides of W0."""
+    t0 = float(np.expm1(W0))
+    ts = [t0 * (1.0 - 1e-9), np.nextafter(t0, 0.0), t0,
+          np.nextafter(t0, np.inf), t0 * (1.0 + 1e-9)]
+    W = np.log1p(ts)
+    assert np.any(W <= W0) and np.any(W > W0)
+    return ts
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 1.5, 2.7])
 def test_log_power_matches_high_precision_reference(gamma):
     # F and nq against the defining integral and f t - 2F evaluated in 40
-    # digits, over the whole range and on both sides of the closed-form
-    # switch (integer gamma only; other gamma sum the series throughout,
-    # and far out, where the rounding of W grows, to within 1e-13)
+    # digits, over the whole range, on both sides of the closed-form switch
+    # (integer gamma only) and on both sides of the table's bound (where
+    # non-integer gamma passes from the polynomial to the term-by-term
+    # series), and for gamma = 1.5 far out, where the rounding of W grows,
+    # to within 1e-13
     mp = pytest.importorskip("mpmath")
-    from fracground.model import _closed_form_switch
+    from fracground.model import _TABLE_W, _closed_form_switch
 
     nl = NonlinearitySpec(kind="log_power", gamma=gamma)
     ts = list(np.geomspace(1e-10, 1e6, 33))
     far = [1e40, 1e80] if gamma == 1.5 else []
     switch = _closed_form_switch(gamma)
     if np.isfinite(switch):
-        t0 = float(np.expm1(switch))
-        ts += [t0 * (1.0 - 1e-9), np.nextafter(t0, 0.0), t0,
-               np.nextafter(t0, np.inf), t0 * (1.0 + 1e-9)]
-        W = np.log1p(ts)
-        assert np.any(W <= switch) and np.any(W > switch)
+        ts += _both_sides(switch)
+    if not float(gamma).is_integer():
+        ts += _both_sides(_TABLE_W)
     with mp.workdps(40):
         for t in ts + far:
             tol = 1e-13 if t in far else 1e-14
@@ -158,20 +168,25 @@ def test_log_power_matches_high_precision_reference(gamma):
             assert abs(nl.nq(t) - nq_ref) <= tol * nq_ref, t
 
 
-@pytest.mark.parametrize(
+HIGH_PRECISION_NONLINEARITIES = pytest.mark.parametrize(
     "nl",
     [NonlinearitySpec(kind="log_power", gamma=g) for g in (1.0, 1.5, 2.0, 3.0)]
     + [NonlinearitySpec(kind="pure_power", p=p) for p in (2.5, 3.0, 4.0, 6.0)],
     ids=lambda nl: f"{nl.kind}-{nl.gamma if nl.kind == 'log_power' else nl.p}",
 )
+
+
+def _mp_f(mp, nl):
+    """f of nl in mpmath arithmetic."""
+    if nl.kind == "log_power":
+        return lambda x: x * mp.log1p(x) ** nl.gamma
+    return lambda x: x ** (nl.p - 1)
+
+
+@HIGH_PRECISION_NONLINEARITIES
 def test_df_matches_high_precision_derivative(nl):
     mp = pytest.importorskip("mpmath")
-    if nl.kind == "log_power":
-        def f(x):
-            return x * mp.log1p(x) ** nl.gamma
-    else:
-        def f(x):
-            return x ** (nl.p - 1)
+    f = _mp_f(mp, nl)
     ts = np.geomspace(1e-8, 1e6, 29)
     with mp.workdps(40):
         for t in ts:
@@ -181,11 +196,68 @@ def test_df_matches_high_precision_derivative(nl):
     assert nl.df(0.0) == 0.0 and nl.df(-2.0) == 0.0
 
 
+@HIGH_PRECISION_NONLINEARITIES
+def test_dnq_matches_high_precision_derivative(nl):
+    # dnq(t) = f'(t) t - f(t), the Newton slope's integrand, against the
+    # 40-digit derivative of f
+    mp = pytest.importorskip("mpmath")
+    f = _mp_f(mp, nl)
+    ts = np.geomspace(1e-8, 1e6, 29)
+    with mp.workdps(40):
+        for t in ts:
+            tm = mp.mpf(float(t))
+            ref = mp.diff(f, tm) * tm - f(tm)
+            assert abs(nl.dnq(t) - ref) <= 1e-13 * abs(ref), t
+    assert np.allclose(nl.dnq(ts), [nl.dnq(t) for t in ts], rtol=1e-15, atol=0.0)
+    assert nl.dnq(0.0) == 0.0 and nl.dnq(-2.0) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 4.0, 1.0e300])
+def test_log_power_entries_do_not_depend_on_their_neighbours(gamma):
+    # F(a)[i] and nq(a)[i] equal, bit for bit, the values for a[i:i+1]
+    # alone, on arrays that mix the table, the term-by-term series and the
+    # closed form (gamma = 4 has all three; at gamma = 1e300 the table ends
+    # at W = 1, beyond which the series overflows)
+    from fracground.model import _TABLE_W
+
+    nl = NonlinearitySpec(kind="log_power", gamma=gamma)
+    W = np.concatenate([[0.0, 1e-12], np.linspace(0.05, 3.2, 64), [5.0, 12.0, 40.0]])
+    t = np.concatenate([np.expm1(W), _both_sides(_TABLE_W), [1e40, np.inf]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for method in (nl.F, nl.nq):
+            whole = method(t)
+            alone = np.array([method(t[i:i + 1])[0] for i in range(t.size)])
+            assert whole.tobytes() == alone.tobytes()
+            assert whole[::-1].tobytes() == method(t[::-1]).tobytes()
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+@pytest.mark.parametrize("b", [0.0, 0.5, 1.0, 2.0, 3.0, 10.0, 1e3, 1e6, 1e12])
+def test_log_power_table_tail_is_below_half_an_ulp(b, c):
+    # the terms the table leaves out sum to below 2^-55 of the series at
+    # its largest argument, and so below half an ulp at every smaller one
+    mp = pytest.importorskip("mpmath")
+    from fracground.model import _TABLE_TERMS, _TABLE_W
+
+    with mp.workdps(40):
+        def term(k):
+            return (1 - c * mp.mpf(2) ** -k) * (2 * mp.mpf(_TABLE_W)) ** k / (
+                mp.factorial(k) * (k + b + 1))
+
+        kept = mp.fsum(term(k) for k in range(1, _TABLE_TERMS + 1))
+        tail = mp.fsum(term(k) for k in range(_TABLE_TERMS + 1, _TABLE_TERMS + 80))
+        assert tail < mp.mpf(2) ** -55 * kept
+
+
 def test_nonlinearity_spec_validation():
     with pytest.raises(ValueError, match="gamma"):
         NonlinearitySpec(kind="log_power", gamma=0.5)
     with pytest.raises(ValueError, match="p > 2"):
         NonlinearitySpec(kind="pure_power", p=2.0)
+    for p in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="p > 2") as excinfo:
+            NonlinearitySpec(kind="pure_power", p=p)
+        assert excinfo.value.field == "p"
     with pytest.raises(ValueError, match="kind"):
         NonlinearitySpec(kind="cubic")
 
