@@ -110,8 +110,10 @@ def energy(state: StatePair, problem: ProblemSpec) -> EnergyBreakdown:
     _check_state(state, problem)
     dV = problem.grid.cell_volume
     quad_u, quad_v, coupling_term = _quadratic_parts(state, problem)
-    F1_integral = dV * float(np.sum(problem.nl1.F(state.u.values)))
-    F2_integral = dV * float(np.sum(problem.nl2.F(state.v.values)))
+    # F vanishes on t <= 0, so only the positive entries are evaluated
+    u, v = state.u.values, state.v.values
+    F1_integral = dV * float(np.sum(problem.nl1.F(u[u > 0.0])))
+    F2_integral = dV * float(np.sum(problem.nl2.F(v[v > 0.0])))
     total = 0.5 * (quad_u + quad_v - coupling_term) - F1_integral - F2_integral
     return EnergyBreakdown(quad_u, quad_v, coupling_term, F1_integral, F2_integral, total)
 

@@ -184,8 +184,8 @@ def perturbation_values(spec: ScalarFunctionSpec, grid: Grid):
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Superlinear nonlinearity f with derivative df, primitive F,
-    nq(t) = f(t)t - 2F(t) and its derivative dnq(t) = f'(t)t - f(t).
+    """Superlinear nonlinearity f with primitive F, nq(t) = f(t)t - 2F(t)
+    and its derivative dnq(t) = f'(t)t - f(t).
 
     kinds:
       log_power   f(t) = t * ln(1+t)^gamma for t > 0, gamma >= 1
@@ -220,21 +220,6 @@ class NonlinearitySpec:
             out = pos ** (self.p - 1.0)
         else:
             out = pos * np.log1p(pos) ** self.gamma
-        return out if out.ndim else float(out)
-
-    def df(self, t):
-        """Derivative f'(t); accepts scalars or arrays, 0 on t <= 0.
-
-        log_power: ln(1+t)^gamma + gamma t ln(1+t)^(gamma-1) / (1+t), a sum
-        of nonnegative terms, so it loses no digits.
-        """
-        t = np.asarray(t, dtype=np.float64)
-        pos = np.maximum(t, 0.0)
-        if self.kind == "pure_power":
-            out = (self.p - 1.0) * pos ** (self.p - 2.0)
-        else:
-            L = np.log1p(pos)
-            out = L**self.gamma + self.gamma * pos * L ** (self.gamma - 1.0) / (1.0 + pos)
         return out if out.ndim else float(out)
 
     def dnq(self, t):
@@ -281,40 +266,25 @@ class NonlinearitySpec:
         return out if out.ndim else float(out)
 
 
-def _closed_form_switch(gamma: float) -> float:
-    """W = ln(1+t) above which the log_power integrals may use their closed forms.
-
-    Only integer gamma has closed forms.  Below this switch they lose digits
-    to cancellation (for gamma = 3, 40 ulps at W = 0.75 and 300 at W = 0.5);
-    from it on they stay within 5 ulps (checked up to gamma = 12).  Returns
-    inf for non-integer gamma.  The table (_log_power_table) comes first:
-    for gamma <= 3 the switch is at most _TABLE_W, so the closed forms take
-    over where the table ends.
-    """
-    return 1.0 + 0.5 * gamma if float(gamma).is_integer() else np.inf
-
-
 def _log_power_integral(t: np.ndarray, gamma: float, c: float) -> np.ndarray:
     """int_0^W (e^{2w} - c e^w + c - 1) w^b dw, W = ln(1+t), b = gamma + 1 - c.
 
     c = 1 gives F(t): substitute tau = e^w - 1 in int_0^t tau ln(1+tau)^gamma.
     c = 2 gives nq(t) / gamma.  The integrand is positive and so is every term
-    of its power series in W, so the series loses no digits.  Each range of W
-    has one path, chosen by the entry's own W alone:
+    of its power series in W, so the series loses no digits.  Each entry's own
+    W alone chooses how the series is summed:
 
     - W up to the table bound (_TABLE_W, lower only where W^(b+1) nears
-      overflow): the series as one cached polynomial (_log_power_table);
-    - W beyond it and above _closed_form_switch(gamma), integer gamma: the
-      closed form (_log_power_closed);
-    - any other finite W: the series summed term by term until it has
-      converged (_log_power_series).
+      overflow): as one cached polynomial (_log_power_table);
+    - any larger finite W: term by term until it has converged
+      (_log_power_series).
 
     When every entry lies in the table's range, the usual case, the table
-    takes the whole array without masks.  All paths agree with a
+    takes the whole array without masks.  Both paths agree with a
     high-precision reference to within 1e-14 relative over t in
-    [1e-10, 1e6] for gamma in {1, 1.5, 2, 2.7, 3}; the rounding of W
-    dominates for large t.  Non-finite t passes through (inf stays inf, nan
-    stays nan).
+    [1e-10, 1e6] for gamma in {1, 1.5, 2, 2.7, 3}, and to within 1e-13 at
+    t = 1e40 and 1e80, where the rounding of W dominates.  Non-finite t
+    passes through (inf stays inf, nan stays nan).
     """
     W = np.asarray(np.log1p(t))
     b = gamma + 1.0 - c
@@ -324,19 +294,15 @@ def _log_power_integral(t: np.ndarray, gamma: float, c: float) -> np.ndarray:
     out = W.copy()
     finite = np.isfinite(W)
     table = finite & (W <= bound)
-    closed = finite & ~table & (W > _closed_form_switch(gamma))
-    series = finite & ~table & ~closed
-    if np.any(table):
-        out[table] = _log_power_table(W[table], b, coeffs)
-    if np.any(closed):
-        out[closed] = _log_power_closed(t[closed], W[closed], int(b), c)
-    if np.any(series):
-        out[series] = _log_power_series(W[series], b, c)
+    series = finite & ~table
+    out[table] = _log_power_table(W[table], b, coeffs)
+    out[series] = _log_power_series(W[series], b, c)
     return out
 
 
-# Largest W summed by the cached polynomial of the log_power series.  It
-# reaches the closed-form switch 1 + gamma/2 of integer gamma <= 3.
+# Largest W summed by the cached polynomial of the log_power series.  The
+# polynomial's degree is fixed, so a larger bound costs more terms for every
+# entry, also for the small W that most entries have.
 _TABLE_W = 2.5
 # Terms of that polynomial: at W = _TABLE_W the tail after 34 terms is below
 # 2^-55 of the sum for every b >= 0 (the weights 1/(k+b+1) flatten as b
@@ -382,9 +348,8 @@ def _log_power_table(W: np.ndarray, b: float, coeffs: np.ndarray) -> np.ndarray:
 def _log_power_series(W: np.ndarray, b: float, c: float) -> np.ndarray:
     """sum_{k>=1} (2^k - c) W^(k+b+1) / (k! (k+b+1)) for finite W >= 0.
 
-    The path for finite W beyond the table's range that no closed form
-    takes: non-integer gamma beyond _TABLE_W, integer gamma >= 4 between
-    _TABLE_W and the switch, and W whose W^(b+1) nears overflow.  Term k is
+    The path of _log_power_integral for finite W beyond the table's range:
+    W above _TABLE_W, and W whose W^(b+1) nears overflow.  Term k is
     (1 - c 2^-k) / (k+b+1) times the running product (2W)^k W^(b+1) / k!,
     which overflows (and the sum is inf) only within about sqrt(W) of the
     sum itself.  Terms are added until the last one is below 2^-55 of the
@@ -394,42 +359,19 @@ def _log_power_series(W: np.ndarray, b: float, c: float) -> np.ndarray:
     each result depends only on its own argument.
     """
     power = W ** (b + 1.0)  # (2W)^k W^(b+1) / k! at k = 0
+    twice_W = 2.0 * W
     total = np.zeros_like(W)
     k_min = max(2.0, 6.0 * float(np.max(W, initial=0.0)))
     k = 0
     while True:
         k += 1
-        power = power * (2.0 * W) / k
+        power *= twice_W
+        power /= k
         term = ((1.0 - c * 0.5**k) / (k + b + 1.0)) * power
         total += term
         # a nan term (0 * inf, once W^(b+1) overflows) or an inf one ends it
         if k >= k_min and not np.any(term > 2.0**-55 * total):
             return total
-
-
-def _log_power_closed(t: np.ndarray, W: np.ndarray, m: int, c: float) -> np.ndarray:
-    """The integral of _log_power_integral for integer b = m >= 0, W = ln(1+t).
-
-    Repeated integration by parts gives
-    int_0^W e^{aw} w^m dw = m!/a^(m+1) (e^{aW} S_m(aW) - (-1)^m) with
-    S_m(x) = sum_{j<=m} (-1)^(m-j) x^j / j!; e^W is taken as 1 + t.
-    """
-    u = 1.0 + t
-    fm = math.factorial(m)
-    out = fm * (u * u * _alternating_exp_sum(m, 2.0 * W) / 2.0 ** (m + 1)
-                - c * u * _alternating_exp_sum(m, W))
-    out = out + (-1) ** m * fm * (c - 2.0 ** (-m - 1))
-    return out + (c - 1.0) * W ** (m + 1) / (m + 1)
-
-
-def _alternating_exp_sum(m: int, x: np.ndarray) -> np.ndarray:
-    """S_m(x) = sum_{j=0}^m (-1)^(m-j) x^j / j!."""
-    total = np.zeros_like(x)
-    power = np.ones_like(x)
-    for j in range(m + 1):
-        total = total + (-1) ** (m - j) * power
-        power = power * x / (j + 1)
-    return total
 
 
 def nonlinearity_eval(nl: NonlinearitySpec, t: float) -> tuple:
@@ -475,7 +417,10 @@ class ProblemSpec:
     @cached_property
     def delta_eff(self) -> float:
         """max |lambda| / sqrt(V1 V2) over the grid for the effective weights."""
-        return _delta_of(self.coupling_field, self.V1_field, self.V2_field)
+        prod = self.V1_field.values * self.V2_field.values
+        if np.min(prod) <= 0.0:
+            return np.inf
+        return float(np.max(np.abs(self.coupling_field.values) / np.sqrt(prod)))
 
     def mean_potential(self, which: int) -> float:
         field = self.V1_field if which == 1 else self.V2_field
@@ -485,6 +430,10 @@ class ProblemSpec:
         return dataclasses.replace(self, coupling=self.coupling.scaled(factor))
 
     def with_periodic_reference(self, flag: bool) -> "ProblemSpec":
+        """This problem on the chosen weights; itself, with its cached
+        fields, when the flag is unchanged."""
+        if bool(flag) == self.periodic_reference:
+            return self
         return dataclasses.replace(self, periodic_reference=bool(flag))
 
     def subcritical_bound(self, s: float) -> float:
@@ -493,13 +442,6 @@ class ProblemSpec:
         if N <= 2.0 * s:
             return np.inf
         return 2.0 * N / (N - 2.0 * s)
-
-
-def _delta_of(coupling: Field, V1: Field, V2: Field) -> float:
-    prod = V1.values * V2.values
-    if np.min(prod) <= 0.0:
-        return np.inf
-    return float(np.max(np.abs(coupling.values) / np.sqrt(prod)))
 
 
 @dataclass(frozen=True)
@@ -566,15 +508,11 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
     grid = problem.grid
     N = grid.dim
 
-    V1p = sample_function(problem.V1, grid, include_perturbation=False)
-    V2p = sample_function(problem.V2, grid, include_perturbation=False)
-    lam_p = sample_function(problem.coupling, grid, include_perturbation=False)
-    V1e = sample_function(problem.V1, grid, include_perturbation=True)
-    V2e = sample_function(problem.V2, grid, include_perturbation=True)
-    lam_e = sample_function(problem.coupling, grid, include_perturbation=True)
+    periodic = problem.with_periodic_reference(True)
+    perturbed = problem.with_periodic_reference(False)
 
     # Periodic potentials bounded below by a positive constant.
-    v_p = min(float(np.min(V1p.values)), float(np.min(V2p.values)))
+    v_p = min(float(np.min(V.values)) for V in (periodic.V1_field, periodic.V2_field))
     constants["V_p"] = v_p
     checks.append(
         CheckResult(
@@ -585,7 +523,7 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
     )
 
     # Relative coupling size for the periodic pair.
-    delta_p = _delta_of(lam_p, V1p, V2p)
+    delta_p = periodic.delta_eff
     constants["delta_periodic"] = delta_p
     checks.append(
         CheckResult(
@@ -598,7 +536,7 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
     # Perturbed potentials sit strictly below the periodic ones and stay
     # positive.  Exact equality (zero perturbation) is degenerate but not a
     # sign violation.
-    v_0 = min(float(np.min(V1e.values)), float(np.min(V2e.values)))
+    v_0 = min(float(np.min(V.values)) for V in (perturbed.V1_field, perturbed.V2_field))
     constants["V_0"] = v_0
     signs = [
         (name, _perturbation_sign(spec, grid, lowers=True))
@@ -615,7 +553,7 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
 
     # Perturbed coupling sits at or above the periodic one; strict where a
     # perturbation is declared.  Size bound via the pointwise delta.
-    delta_e = _delta_of(lam_e, V1e, V2e)
+    delta_e = perturbed.delta_eff
     constants["delta_perturbed"] = delta_e
     coup_ok, _, cdetail = _perturbation_sign(problem.coupling, grid, lowers=False)
     checks.append(
