@@ -59,6 +59,8 @@ SUBCOMMANDS = (
     "limit",
     "diagnose",
 )
+# The subcommands whose solves --restarts repeats.
+_RESTARTABLE = ("solve", "solve-scalar", "compare-periodic")
 
 
 class ConfigError(ValueError):
@@ -209,7 +211,9 @@ def _build(pairs: dict) -> ParsedConfig:
         try:
             return build(**parts, **fields[owner])
         except _RuleError as exc:
-            key = _KEY_OF[owner, exc.field]
+            # a rule across owners names its field "<owner>.<field>"
+            inner, _, field = exc.field.rpartition(".")
+            key = _KEY_OF[inner or owner, field]
             raise ConfigError(f"{where(key)}: key {key!r}: {exc}") from exc
 
     problem = make(
@@ -394,6 +398,9 @@ def run(argv) -> int:
                 cfg, options=dataclasses.replace(cfg.options, seed=args.seed)
             )
         _check_restarts(args.restarts, "--restarts")
+        if args.restarts != 1 and args.command not in _RESTARTABLE:
+            only = ", ".join(_RESTARTABLE)
+            raise _RuleError("restarts", f"{args.command} takes no --restarts (only {only} do)")
     except (ConfigError, _RuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

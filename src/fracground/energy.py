@@ -137,23 +137,24 @@ def gradient(
 
     The preconditioner divides Fourier coefficients by |xi|^(2si) + mean(Vi),
     a positive symbol that tames the stiffness of the fractional operator
-    without changing the set of stationary points.  It is applied in the
-    same inverse transform as the operator.  Beyond the component's cached
-    spectrum a preconditioned component costs two transforms, a plain one one.
+    without changing the set of stationary points; the problem keeps it
+    (ProblemSpec._preconditioner).  It is applied in the same inverse
+    transform as the operator.  Beyond the component's cached spectrum a
+    preconditioned component costs two transforms, a plain one one.
     """
     _check_state(state, problem)
     g = problem.grid
     lam = problem.coupling_field.values
     out = []
-    for which, w, other, s, V, nl in (
-        (1, state.u, state.v.values, problem.s1, problem.V1_field, problem.nl1),
-        (2, state.v, state.u.values, problem.s2, problem.V2_field, problem.nl2),
+    for i, w, other, s, V, nl in (
+        (0, state.u, state.v.values, problem.s1, problem.V1_field, problem.nl1),
+        (1, state.v, state.u.values, problem.s2, problem.V2_field, problem.nl2),
     ):
         sym = g.symbol(s)
         local = V.values * w.values - nl.f(w.values) - lam * other
         if preconditioned:
             spectrum = sym * w.spectrum + sfft.rfftn(local)
-            gw = sfft.irfftn(spectrum / (sym + problem.mean_potential(which)), s=g.shape)
+            gw = sfft.irfftn(spectrum / problem._preconditioner[i], s=g.shape)
         else:
             gw = sfft.irfftn(sym * w.spectrum, s=g.shape) + local
         out.append(Field(g, gw))

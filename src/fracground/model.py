@@ -17,6 +17,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -118,15 +119,21 @@ class ScalarFunctionSpec:
         )
 
 
-def _axis_periods(spec: ScalarFunctionSpec, dim: int) -> tuple:
-    m = spec.trig_periods
-    if len(m) == 1:
-        return m * dim
-    if len(m) != dim:
-        raise ValueError(
-            f"trig_periods has {len(m)} entries for a {dim}-dimensional grid"
-        )
-    return m
+def _axis_periods(spec: ScalarFunctionSpec, grid: Grid, name: str = "spec") -> tuple:
+    """The trig period of a periodic kind along each axis of ``grid``, none
+    for a constant kind.  The box must hold a whole number of unit periods
+    (else a _RuleError names ``grid.box_length``), and ``trig_periods``
+    give one period for all axes or one per axis (else ``<name>.trig_periods``)."""
+    if spec.kind == "constant":
+        return ()
+    L, m = grid.box_length, spec.trig_periods
+    if abs(L - round(L)) > 1.0e-9 * max(1.0, abs(L)) or round(L) < 1:
+        msg = f"periodic kinds need a whole number of unit periods per box, got box_length={L}"
+        raise _RuleError("grid.box_length", msg)
+    if len(m) not in (1, grid.dim):
+        msg = f"trig_periods has {len(m)} entries for a {grid.dim}-dimensional grid"
+        raise _RuleError(f"{name}.trig_periods", msg)
+    return m * grid.dim if len(m) == 1 else m
 
 
 def sample_function(
@@ -139,17 +146,12 @@ def sample_function(
     """
     if spec.kind == "constant":
         return Field(grid, np.full(grid.shape, spec.base_constant))
-    L = grid.box_length
-    if abs(L - round(L)) > 1.0e-9 * max(1.0, abs(L)) or round(L) < 1:
-        raise ValueError(
-            f"periodic kinds need a whole number of unit periods per box, "
-            f"got box_length={L}"
-        )
+    periods = _axis_periods(spec, grid)
     vals = np.full(grid.shape, spec.base_constant)
     if spec.trig_amplitude != 0.0:
         trig = np.ones(grid.shape)
         coords = grid.coordinates()
-        for m, x in zip(_axis_periods(spec, grid.dim), coords):
+        for m, x in zip(periods, coords):
             trig = trig * np.cos(2.0 * np.pi * m * x)
         vals = vals + spec.trig_amplitude * trig
     if spec.has_perturbation and include_perturbation and spec.perturbation_amplitude != 0.0:
@@ -190,7 +192,8 @@ class NonlinearitySpec:
     kinds:
       log_power   f(t) = t * ln(1+t)^gamma for t > 0, gamma >= 1
       pure_power  f(t) = t^(p-1) for t > 0, finite p > 2
-    Both vanish identically on t <= 0.
+    Both vanish identically on t <= 0.  The audit's samples of f on its
+    ladder are taken once per instance (``_ladder_witnesses``).
     """
 
     kind: str
@@ -211,6 +214,30 @@ class NonlinearitySpec:
         if self.kind == "pure_power":
             return self.p
         return LOG_POWER_GROWTH_EXPONENT
+
+    @cached_property
+    def _ladder_witnesses(self) -> tuple:
+        """What the audit samples of f alone: (f(t)/t at SUPERLINEAR_T_SMALL
+        and at SUPERLINEAR_T_LARGE, whether f is superlinear at 0 and at
+        infinity, a1, the fitted alpha, a2, nq > 0, f(t)/t increasing, nq
+        increasing), the last six on the log-spaced ladder.  Every problem
+        built from a problem by dataclasses.replace shares this instance."""
+        ladder = np.geomspace(LADDER_LO, LADDER_HI, LADDER_POINTS)
+        decades = np.array([1.0e2, 1.0e4, 1.0e6, SUPERLINEAR_T_LARGE])
+        small = self.f(SUPERLINEAR_T_SMALL) / SUPERLINEAR_T_SMALL
+        ratios = self.f(decades) / decades
+        grows = bool(np.all(np.diff(ratios) > 0.0)) and ratios[-1] > SUPERLINEAR_LARGE_BOUND
+        fvals, nqv = self.f(ladder), self.nq(ladder)
+        a1 = float(np.max(fvals / (1.0 + ladder ** (self.growth_exponent - 1.0))))
+        positive = bool(np.all(nqv > 0.0))
+        alpha, a2 = float("nan"), 0.0
+        if positive:
+            alpha = float(np.polyfit(np.log(ladder), np.log(nqv), 1)[0])
+            a2 = float(np.min(nqv / ladder**alpha))
+        return (
+            small, ratios[-1], small < SUPERLINEAR_SMALL_BOUND and grows, a1, alpha, a2, positive,
+            bool(np.all(np.diff(fvals / ladder) > 0.0)), bool(np.all(np.diff(nqv) > 0.0)),
+        )
 
     def f(self, t):
         """Pointwise nonlinearity; accepts scalars or arrays."""
@@ -385,7 +412,9 @@ class ProblemSpec:
 
     periodic_reference selects which pair of weights the energy sees: the
     full (possibly perturbed) potentials and coupling, or their periodic
-    parts only.  Sampled weights are cached on the instance.
+    parts only.  Periodic weights must fit the grid (see _axis_periods) on
+    construction.  Sampled weights, the hypothesis audit and the gradient's
+    preconditioner are derived once and cached on the instance.
     """
 
     grid: Grid
@@ -401,6 +430,19 @@ class ProblemSpec:
     def __post_init__(self):
         _check_order(self.s1, "s1")
         _check_order(self.s2, "s2")
+        for name in ("V1", "V2", "coupling"):
+            _axis_periods(getattr(self, name), self.grid, name)
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        """What validate_assumptions returns."""
+        return _audit(self)
+
+    @cached_property
+    def _preconditioner(self) -> tuple:
+        """|xi|^(2 si) + mean(Vi) on the half spectrum, for i = 1, 2."""
+        sym = self.grid.symbol
+        return (sym(self.s1) + self.mean_potential(1), sym(self.s2) + self.mean_potential(2))
 
     @cached_property
     def V1_field(self) -> Field:
@@ -454,7 +496,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple
-    constants: dict
+    constants: MappingProxyType
 
     @property
     def all_passed(self) -> bool:
@@ -497,16 +539,23 @@ def _perturbation_sign(spec: ScalarFunctionSpec, grid: Grid, lowers: bool) -> tu
     return True, False, f"strictly {way}, max gap {np.max(gain):.3g}"
 
 
-def _ladder() -> np.ndarray:
-    return np.geomspace(LADDER_LO, LADDER_HI, LADDER_POINTS)
-
-
 def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
-    """Sample every structural hypothesis and report, without throwing."""
+    """Sample every structural hypothesis and report, without throwing.
+
+    The report is taken once per problem and kept on it, with read-only
+    constants, so the solvers and experiments that check it again reuse it.
+    """
+    return problem._report
+
+
+def _audit(problem: ProblemSpec) -> ValidationReport:
     checks = []
     constants = {}
     grid = problem.grid
     N = grid.dim
+
+    def check(name: str, passed: bool, detail: str) -> None:
+        checks.append(CheckResult(name, passed, detail))
 
     periodic = problem.with_periodic_reference(True)
     perturbed = problem.with_periodic_reference(False)
@@ -514,23 +563,19 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
     # Periodic potentials bounded below by a positive constant.
     v_p = min(float(np.min(V.values)) for V in (periodic.V1_field, periodic.V2_field))
     constants["V_p"] = v_p
-    checks.append(
-        CheckResult(
-            "periodic_potentials_positive",
-            v_p > 0.0,
-            f"min over grid of both periodic potentials = {v_p:.6g}",
-        )
+    check(
+        "periodic_potentials_positive",
+        v_p > 0.0,
+        f"min over grid of both periodic potentials = {v_p:.6g}",
     )
 
     # Relative coupling size for the periodic pair.
     delta_p = periodic.delta_eff
     constants["delta_periodic"] = delta_p
-    checks.append(
-        CheckResult(
-            "periodic_coupling_small",
-            delta_p < 1.0,
-            f"max |coupling|/sqrt(V1 V2) over periodic weights = {delta_p:.6g}",
-        )
+    check(
+        "periodic_coupling_small",
+        delta_p < 1.0,
+        f"max |coupling|/sqrt(V1 V2) over periodic weights = {delta_p:.6g}",
     )
 
     # Perturbed potentials sit strictly below the periodic ones and stay
@@ -542,13 +587,11 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
         (name, _perturbation_sign(spec, grid, lowers=True))
         for name, spec in (("V1", problem.V1), ("V2", problem.V2))
     ]
-    checks.append(
-        CheckResult(
-            "potential_perturbations_lower",
-            all(ok for _, (ok, _, _) in signs) and v_0 > 0.0,
-            "; ".join(f"{name}: {detail}" for name, (_, _, detail) in signs)
-            + f"; min perturbed potential = {v_0:.6g}",
-        )
+    check(
+        "potential_perturbations_lower",
+        all(ok for _, (ok, _, _) in signs) and v_0 > 0.0,
+        "; ".join(f"{name}: {detail}" for name, (_, _, detail) in signs)
+        + f"; min perturbed potential = {v_0:.6g}",
     )
 
     # Perturbed coupling sits at or above the periodic one; strict where a
@@ -556,12 +599,10 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
     delta_e = perturbed.delta_eff
     constants["delta_perturbed"] = delta_e
     coup_ok, _, cdetail = _perturbation_sign(problem.coupling, grid, lowers=False)
-    checks.append(
-        CheckResult(
-            "coupling_perturbation_raises",
-            coup_ok and delta_e < 1.0,
-            cdetail + f"; max |coupling|/sqrt(V1 V2) perturbed = {delta_e:.6g}",
-        )
+    check(
+        "coupling_perturbation_raises",
+        coup_ok and delta_e < 1.0,
+        cdetail + f"; max |coupling|/sqrt(V1 V2) perturbed = {delta_e:.6g}",
     )
 
     # Perturbations must be localized: negligible outside the centered ball
@@ -581,90 +622,51 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
         if tail >= DECAY_THRESHOLD:
             decay_ok = False
             decay_details.append(f"{name}: tail {tail:.3g} >= {DECAY_THRESHOLD}")
-    checks.append(
-        CheckResult(
-            "perturbation_decay",
-            decay_ok,
-            "; ".join(decay_details) if decay_details else
-            f"all perturbations below {DECAY_THRESHOLD} outside radius L/4",
-        )
+    check(
+        "perturbation_decay",
+        decay_ok,
+        "; ".join(decay_details) if decay_details else
+        f"all perturbations below {DECAY_THRESHOLD} outside radius L/4",
     )
 
     # Effective relative coupling size for the system the energy solves.
     constants["delta_eff"] = problem.delta_eff
-    checks.append(
-        CheckResult(
-            "coupling_size_effective",
-            problem.delta_eff < 1.0,
-            f"delta_eff = {problem.delta_eff:.6g} (must be < 1)",
-        )
+    check(
+        "coupling_size_effective",
+        problem.delta_eff < 1.0,
+        f"delta_eff = {problem.delta_eff:.6g} (must be < 1)",
     )
 
-    # Nonlinearity hypotheses on a log-spaced ladder.
-    ladder = _ladder()
-    for idx, nl in ((1, problem.nl1), (2, problem.nl2)):
-        s_i = problem.s1 if idx == 1 else problem.s2
-        ratio_small = nl.f(SUPERLINEAR_T_SMALL) / SUPERLINEAR_T_SMALL
-        decades = np.array([1.0e2, 1.0e4, 1.0e6, SUPERLINEAR_T_LARGE])
-        ratios_large = nl.f(decades) / decades
-        grows = bool(np.all(np.diff(ratios_large) > 0.0)) and ratios_large[-1] > SUPERLINEAR_LARGE_BOUND
-        checks.append(
-            CheckResult(
-                f"superlinear_nl{idx}",
-                ratio_small < SUPERLINEAR_SMALL_BOUND and grows,
-                f"f(t)/t at {SUPERLINEAR_T_SMALL:g} is {ratio_small:.3g}; "
-                f"at {SUPERLINEAR_T_LARGE:g} is {ratios_large[-1]:.3g}",
-            )
+    # Nonlinearity hypotheses on a log-spaced ladder: the witnesses of f
+    # alone come from the nonlinearity, the bound from (s, N).
+    for idx, nl, s_i in ((1, problem.nl1, problem.s1), (2, problem.nl2, problem.s2)):
+        small, large, superlinear, a1, alpha, a2, positive, f_up, nq_up = nl._ladder_witnesses
+        check(
+            f"superlinear_nl{idx}",
+            superlinear,
+            f"f(t)/t at {SUPERLINEAR_T_SMALL:g} is {small:.3g}; "
+            f"at {SUPERLINEAR_T_LARGE:g} is {large:.3g}",
         )
 
         p_i = nl.growth_exponent
-        fvals = nl.f(ladder)
-        a1 = float(np.max(fvals / (1.0 + ladder ** (p_i - 1.0))))
         bound = problem.subcritical_bound(s_i)
         constants[f"a1_nl{idx}"] = a1
         constants[f"p_nl{idx}"] = p_i
-        checks.append(
-            CheckResult(
-                f"growth_subcritical_nl{idx}",
-                np.isfinite(a1) and p_i < bound,
-                f"witnessed a1 = {a1:.6g} at growth exponent {p_i:g}, "
-                f"critical bound {bound:.6g}",
-            )
+        check(
+            f"growth_subcritical_nl{idx}",
+            np.isfinite(a1) and p_i < bound,
+            f"witnessed a1 = {a1:.6g} at growth exponent {p_i:g}, critical bound {bound:.6g}",
         )
 
-        nqv = nl.nq(ladder)
-        positive = bool(np.all(nqv > 0.0))
-        if positive:
-            alpha = float(np.polyfit(np.log(ladder), np.log(nqv), 1)[0])
-            a2 = float(np.min(nqv / ladder**alpha))
-        else:
-            alpha, a2 = float("nan"), 0.0
         constants[f"alpha_nl{idx}"] = alpha
         constants[f"a2_nl{idx}"] = a2
-        checks.append(
-            CheckResult(
-                f"nonquadratic_nl{idx}",
-                positive and a2 > 0.0,
-                f"nq > 0 on ladder: {positive}; fitted alpha = {alpha:.4g}, "
-                f"witnessed a2 = {a2:.4g}",
-            )
+        check(
+            f"nonquadratic_nl{idx}",
+            positive and a2 > 0.0,
+            f"nq > 0 on ladder: {positive}; fitted alpha = {alpha:.4g}, witnessed a2 = {a2:.4g}",
         )
-
-        fratio = fvals / ladder
-        checks.append(
-            CheckResult(
-                f"ratio_monotone_nl{idx}",
-                bool(np.all(np.diff(fratio) > 0.0)),
-                "f(t)/t strictly increasing on ladder",
-            )
-        )
-        checks.append(
-            CheckResult(
-                f"nq_monotone_nl{idx}",
-                bool(np.all(np.diff(nqv) > 0.0)),
-                "f(t)t - 2F(t) strictly increasing on ladder",
-            )
-        )
+        check(f"ratio_monotone_nl{idx}", f_up, "f(t)/t strictly increasing on ladder")
+        check(f"nq_monotone_nl{idx}", nq_up, "f(t)t - 2F(t) strictly increasing on ladder")
 
     # Nonquadraticity exponent large enough relative to dimension and growth.
     p0 = max(problem.nl1.growth_exponent, problem.nl2.growth_exponent)
@@ -672,12 +674,10 @@ def validate_assumptions(problem: ProblemSpec) -> ValidationReport:
     threshold = 0.5 * N * (p0 - 2.0)
     constants["p0"] = p0
     constants["alpha_threshold"] = threshold
-    checks.append(
-        CheckResult(
-            "nonquadraticity_exponent",
-            bool(alpha_min > threshold),
-            f"min fitted alpha = {alpha_min:.4g} vs N(p0-2)/2 = {threshold:.4g}",
-        )
+    check(
+        "nonquadraticity_exponent",
+        bool(alpha_min > threshold),
+        f"min fitted alpha = {alpha_min:.4g} vs N(p0-2)/2 = {threshold:.4g}",
     )
 
-    return ValidationReport(tuple(checks), constants)
+    return ValidationReport(tuple(checks), MappingProxyType(constants))

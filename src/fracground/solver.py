@@ -101,10 +101,14 @@ class SolverOptions:
     positivity_clip: bool = True
 
     def __post_init__(self):
-        for name in ("max_iters", "step_init", "tol_energy", "tol_residual"):
+        for name in ("step_init", "tol_energy", "tol_residual"):
             value = getattr(self, name)
             if not value > 0:
                 raise _RuleError(name, f"{name} must be positive, got {value}")
+        for name, low in (("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise _RuleError(name, f"{name} must be a whole number >= {low}, got {value}")
         # at 1 the line search would never shrink its step
         factor = self.backtrack_factor
         if not 0.0 < factor < 1.0:
@@ -277,6 +281,7 @@ def _positive_fraction(values: np.ndarray) -> float:
 
 def _finish_report(
     state: StatePair,
+    parts: EnergyBreakdown,
     grad: StatePair,
     problem: ProblemSpec,
     iterations: int,
@@ -284,7 +289,8 @@ def _finish_report(
     stalled: bool,
     t_history: list,
 ) -> SolveReport:
-    parts = energy(state, problem)
+    """The report of the accepted pair ``state``, read from its energy
+    breakdown ``parts`` and preconditioned gradient ``grad``."""
     Q = parts.quad_u + parts.quad_v - parts.coupling_term
     nres = abs(Q - _nonlinear_pairing(state, problem)) / Q if Q > 0.0 else np.inf
     return SolveReport(
@@ -317,7 +323,8 @@ def solve_ground_state(
 
     t0, state = nehari_project(init, problem)
     t_history = [t0]
-    E = energy(state, problem).total
+    parts = energy(state, problem)
+    E = parts.total
     grad = gradient(state, problem, preconditioned=True)
     last_decrease = np.inf
     eta0 = opts.step_init
@@ -348,12 +355,12 @@ def solve_ground_state(
             except (NotInEPlus, BracketFailure):
                 eta *= opts.backtrack_factor
                 continue
-            parts = energy(cand, problem)
-            Ec = parts.total
+            trial = energy(cand, problem)
+            Ec = trial.total
             if Ec < E:
                 accepted = True
                 break
-            if eta == eta0 and Ec <= E + _energy_rounding(parts):
+            if eta == eta0 and Ec <= E + _energy_rounding(trial):
                 # the energy cannot resolve this step; the residual can
                 cand_grad = gradient(cand, problem, preconditioned=True)
                 if _residual(cand_grad, cand) < residual:
@@ -380,11 +387,11 @@ def solve_ground_state(
             [cand_grad.u.values - grad.u.values, cand_grad.v.values - grad.v.values],
             opts.step_init,
         )
-        state, E, grad = cand, Ec, cand_grad
+        state, parts, E, grad = cand, trial, Ec, cand_grad
         iterations += 1
         t_history.append(t0)
 
-    return _finish_report(state, grad, problem, iterations, converged, stalled, t_history)
+    return _finish_report(state, parts, grad, problem, iterations, converged, stalled, t_history)
 
 
 def _residual(grad: StatePair, state: StatePair) -> float:

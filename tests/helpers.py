@@ -10,6 +10,7 @@ from fracground import (
     StatePair,
     make_grid,
 )
+from fracground.model import LADDER_POINTS
 
 
 def constant_spec(value):
@@ -41,6 +42,22 @@ def constant_problem(
         nl1=nl,
         nl2=nl,
     )
+
+
+def count_ladder_evaluations(monkeypatch):
+    """Record the nonlinearity of each nq evaluation on the audit's ladder
+    (the only caller that takes nq on LADDER_POINTS samples); returns the
+    list it appends to."""
+    calls = []
+    nq = NonlinearitySpec.nq
+
+    def counted(self, t):
+        if np.size(t) == LADDER_POINTS:
+            calls.append(self)
+        return nq(self, t)
+
+    monkeypatch.setattr(NonlinearitySpec, "nq", counted)
+    return calls
 
 
 def smooth_field(grid, rng, offset=0.0):

@@ -394,6 +394,9 @@ def test_required_keys_alone_take_the_owners_defaults():
         "scalar.which=3",
         "V1.base=inf", "coupling.base=nan", "coupling.perturbation_width=inf",
         "nl1.kind=pure_power nl1.p=inf",
+        "solver.seed=-1",
+        "V1.kind=periodic_trig V1.trig_amplitude=0.1 L=8.5",
+        "V1.kind=periodic_trig V1.trig_amplitude=0.1 V1.trig_periods=1,2,3",
     ],
 )
 def test_out_of_range_override_names_its_key(override):
@@ -445,6 +448,19 @@ def test_restarts_flag_message(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err == "error: --restarts must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "sweep", "limit", "diagnose"])
+def test_restarts_refused_where_nothing_restarts(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    code = run(
+        [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--restarts", "2"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--restarts" in err
+    assert all(name in err for name in ("solve", "solve-scalar", "compare-periodic"))
     assert not (tmp_path / "out").exists()
 
 

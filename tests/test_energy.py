@@ -376,6 +376,26 @@ def test_energy_respects_periodic_reference_flag():
     assert full < ref
 
 
+def test_gradient_takes_the_mean_potentials_once_per_problem(monkeypatch):
+    # the preconditioner |xi|^(2si) + mean(Vi) is kept on the problem
+    prob = constant_problem(n=16)
+    state = smooth_pair(prob, 0)
+    calls = []
+    mean = ProblemSpec.mean_potential
+
+    def counted(self, which):
+        calls.append(which)
+        return mean(self, which)
+
+    monkeypatch.setattr(ProblemSpec, "mean_potential", counted)
+    first = gradient(state, prob, preconditioned=True)
+    taken = len(calls)
+    again = gradient(state, prob, preconditioned=True)
+    assert len(calls) == taken
+    assert np.array_equal(first.u.values, again.u.values)
+    assert np.array_equal(first.v.values, again.v.values)
+
+
 @pytest.mark.parametrize("preconditioned", [False, True])
 @pytest.mark.parametrize(
     "dim,n,s,kind", [(1, 64, 0.3, "log_power"), (2, 32, 0.5, "log_power"), (3, 16, 0.8, "pure_power")]

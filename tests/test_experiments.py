@@ -21,7 +21,7 @@ from fracground import (
     write_sweep_csv,
 )
 from fracground.experiments import CSV_HEADER, render_rows_csv
-from helpers import constant_problem, constant_spec
+from helpers import constant_problem, constant_spec, count_ladder_evaluations
 
 
 FAST = SolverOptions(max_iters=4000)
@@ -81,6 +81,18 @@ def test_sweep_zero_scale_matches_scalar_level():
     prob = constant_problem(v1=1.0, v2=1.5, lam=1.0)
     report = lambda_sweep(prob, (0.0, 0.5), opts=FAST)
     assert report.rows[0].level == pytest.approx(report.limit_level, rel=1e-6)
+
+
+def test_sweep_samples_each_nonlinearity_once(monkeypatch):
+    # every scaled problem and both scalar problems share the two
+    # nonlinearity instances, which keep their ladder witnesses; two equal
+    # instances, as a parsed config has, are sampled once each
+    ladder = count_ladder_evaluations(monkeypatch)
+    prob = constant_problem(n=16, v1=1.0, v2=1.5, lam=1.0)
+    prob = dataclasses.replace(prob, nl2=NonlinearitySpec(kind="log_power", gamma=1.0))
+    report = lambda_sweep(prob, (0.2, 0.4, 0.6, 0.8), opts=FAST)
+    assert all(r.converged for r in report.rows)
+    assert len(ladder) <= 2
 
 
 def test_sweep_rejects_bad_scales():

@@ -414,6 +414,28 @@ def test_validator_passes_constant_baseline():
     assert "[PASS]" in text and "[FAIL]" not in text
 
 
+def test_scaled_problem_takes_its_own_audit():
+    # the report is cached per problem: a scaled copy of a passing problem
+    # is audited afresh, and fails when its coupling breaks delta < 1
+    prob = constant_problem()
+    assert validate_assumptions(prob).all_passed
+    scaled = prob.with_coupling_scale(3.0)
+    assert [c.name for c in validate_assumptions(scaled).failures()] == [
+        "periodic_coupling_small",
+        "coupling_perturbation_raises",
+        "coupling_size_effective",
+    ]
+    assert validate_assumptions(prob).all_passed
+
+
+def test_report_constants_cannot_be_changed_by_a_caller():
+    prob = constant_problem()
+    report = validate_assumptions(prob)
+    with pytest.raises(TypeError):
+        report.constants["delta_eff"] = 0.0
+    assert validate_assumptions(prob).constants["delta_eff"] == prob.delta_eff
+
+
 def test_validator_fitted_exponents_pure_power():
     # nq(t) = t^4 / 2 exactly, so the fitted exponent is 4 and the
     # witnessed constant is 1/2

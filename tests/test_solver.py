@@ -22,9 +22,10 @@ from fracground import (
     solve_ground_state,
     solve_scalar_ground_state,
     solve_with_restarts,
+    validate_assumptions,
 )
 from fracground import solver
-from helpers import constant_problem, smooth_pair
+from helpers import constant_problem, count_ladder_evaluations, smooth_pair
 
 
 FAST = SolverOptions(max_iters=4000)
@@ -245,6 +246,45 @@ def test_solve_computes_each_gradient_once(monkeypatch):
     assert flat_checks
     assert len({id(a) for a in seen}) == len(seen)
     assert len(seen) >= rep.iterations + 1
+
+
+def test_solve_takes_one_energy_per_projected_pair(monkeypatch):
+    # the start and every trial that projects get one breakdown each; the
+    # report reads the accepted pair's instead of taking another
+    projected, energies = [], []
+    project, breakdown = solver.nehari_project, solver.energy
+
+    def counted_project(state, problem):
+        out = project(state, problem)
+        projected.append(1)
+        return out
+
+    def counted_energy(state, problem):
+        energies.append(1)
+        return breakdown(state, problem)
+
+    monkeypatch.setattr(solver, "nehari_project", counted_project)
+    monkeypatch.setattr(solver, "energy", counted_energy)
+    prob = constant_problem(n=16)
+    rep = solve_ground_state(prob, opts=FAST)
+    assert rep.converged and rep.iterations > 0
+    assert len(energies) == len(projected)
+    assert rep.level == breakdown(rep.state, prob).total
+
+
+def test_one_problem_samples_the_ladder_once(monkeypatch):
+    # the report is kept on the problem and the ladder's witnesses on its
+    # nonlinearity (one instance for both components here), so auditing,
+    # solving, restarting and the diagnostics sample the ladder once
+    ladder = count_ladder_evaluations(monkeypatch)
+    prob = constant_problem(n=16)
+    assert prob.nl1 is prob.nl2
+    audits = [validate_assumptions(prob), validate_assumptions(prob)]
+    rep = solve_ground_state(prob, opts=FAST)
+    solve_with_restarts(prob, opts=FAST, restarts=2)
+    mountain_pass_diagnostics(prob, rep.state, opts=FAST)
+    assert ladder == [prob.nl1]
+    assert audits[0] is audits[1] is validate_assumptions(prob)
 
 
 def test_solve_takes_at_most_seven_transforms_per_iteration(monkeypatch):
@@ -499,6 +539,8 @@ def test_diagnostics_summary_renders(diagnosed):
         ("backtrack_factor", 0.0),
         ("backtrack_factor", float("nan")),
         ("max_iters", 0),
+        ("max_iters", 2.5),
+        ("seed", -1),
         ("step_init", -1.0),
         ("tol_energy", 0.0),
         ("tol_residual", float("nan")),
