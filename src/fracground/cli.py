@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .experiments import (
+    _check_scales,
     compare_periodic_limit,
     lambda_sweep,
     decoupling_limit,
@@ -94,6 +95,8 @@ class ParsedConfig:
 
     def __post_init__(self):
         _check_which(self.scalar_which, "scalar_which")
+        _check_scales(self.sweep_scales, "sweep_scales", increasing=True)
+        _check_scales(self.limit_scales, "limit_scales", increasing=False)
 
 
 # The owner of each config key: the type that holds its field, enforces its

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import StatePair
-from .grid import Field, lp_norm, integrate
+from .grid import Field, _RuleError, lp_norm, integrate
 from .model import ProblemSpec, _perturbation_sign
 from .solver import (
     SolveReport,
@@ -119,6 +119,27 @@ def _row(scale: float, report: SolveReport) -> SweepRow:
     )
 
 
+def _check_scales(scales, field: str, increasing: bool) -> list:
+    """The coupling scales as floats, at least one: a sweep's (``increasing``)
+    non-negative and strictly increasing, a limit's strictly positive and
+    strictly decreasing.  A broken rule raises a _RuleError naming ``field``."""
+    scales = [float(s) for s in scales]
+    if not scales:
+        raise _RuleError(field, "need at least one scale")
+    pairs = list(zip(scales, scales[1:]))
+    if increasing:
+        if not all(s >= 0.0 for s in scales):
+            raise _RuleError(field, "scales must be non-negative")
+        if not all(b > a for a, b in pairs):
+            raise _RuleError(field, "scales must be strictly increasing")
+    else:
+        if not all(s > 0.0 for s in scales):
+            raise _RuleError(field, "scales must be strictly positive")
+        if not all(b < a for a, b in pairs):
+            raise _RuleError(field, "scales must be strictly decreasing")
+    return scales
+
+
 def _branch(problem: ProblemSpec, scales, opts: SolverOptions) -> tuple:
     """Both scalar ground states, then one coupled solve per scale in the
     order given, each warm-started from the one before.
@@ -156,13 +177,7 @@ def lambda_sweep(
     descending order so each solve starts from the previous branch.
     """
     opts = opts or SolverOptions()
-    scales = [float(s) for s in scales]
-    if len(scales) == 0:
-        raise ValueError("need at least one scale")
-    if any(s < 0.0 for s in scales):
-        raise ValueError("scales must be non-negative")
-    if any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be strictly increasing")
+    scales = _check_scales(scales, "scales", increasing=True)
     (rep1, rep2), reports = _branch(problem, scales[::-1], opts)
     rows = tuple(_row(s, r) for s, r in zip(scales, reversed(reports)))
 
@@ -228,13 +243,7 @@ def decoupling_limit(
     scale with a cold start to expose branch switching.
     """
     opts = opts or SolverOptions()
-    scales = [float(s) for s in scales]
-    if len(scales) == 0:
-        raise ValueError("need at least one scale")
-    if any(s <= 0.0 for s in scales):
-        raise ValueError("scales must be strictly positive")
-    if any(b >= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be strictly decreasing")
+    scales = _check_scales(scales, "scales", increasing=False)
 
     (rep1, rep2), reports = _branch(problem, scales, opts)
     c1, c2 = rep1.level, rep2.level

@@ -413,8 +413,9 @@ class ProblemSpec:
     periodic_reference selects which pair of weights the energy sees: the
     full (possibly perturbed) potentials and coupling, or their periodic
     parts only.  Periodic weights must fit the grid (see _axis_periods) on
-    construction.  Sampled weights, the hypothesis audit and the gradient's
-    preconditioner are derived once and cached on the instance.
+    construction.  Sampled weights, the hypothesis audit, the gradient's
+    preconditioner and the coarse problem of a cold solve are derived once
+    and cached on the instance.
     """
 
     grid: Grid
@@ -443,6 +444,14 @@ class ProblemSpec:
         """|xi|^(2 si) + mean(Vi) on the half spectrum, for i = 1, 2."""
         sym = self.grid.symbol
         return (sym(self.s1) + self.mean_potential(1), sym(self.s2) + self.mean_potential(2))
+
+    @cached_property
+    def _coarse(self) -> "ProblemSpec":
+        """This problem on half as many points per axis in the same box, the
+        first level of a cold solve.  Its points are every other point of
+        this grid, so this problem's audit covers it."""
+        g = self.grid
+        return dataclasses.replace(self, grid=Grid(g.dim, g.n_per_axis // 2, g.box_length))
 
     @cached_property
     def V1_field(self) -> Field:

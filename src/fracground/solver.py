@@ -23,6 +23,16 @@ Convergence requires both energy stagnation and a small preconditioned
 gradient residual.  Near a minimizer the energy is flat to within its own
 rounding, so there a first trial is also accepted when it raises the
 energy by no more than that rounding and lowers the residual.
+
+A cold solve (no starting pair given) on n >= 64 points per axis is
+nested iteration one level deep, after the cascadic scheme of Bornemann
+and Deuflhard (Numer. Math. 75, 1996): it first solves the same problem
+on n/2 points in the same box, from the same seeded start, then
+zero-pads that state's spectrum onto n and descends from it there.  The
+coarse minimizer is nearly the fine one, so most iterations run on a
+quarter (in 2-D) of the points, and the level gap |E_n - E_n/2| / |E_n|
+is reported as a resolution certificate.  One level only: coarser
+grids under-resolve the start and measured slower.
 """
 
 from __future__ import annotations
@@ -78,6 +88,10 @@ _T_MAX = 2.0**_MAX_DOUBLINGS
 # evaluations; bisection alone needs about 36 to cross the whole range.
 _NEWTON_RELSTEP = 1.0e-9
 _NEWTON_ITERS = 100
+# A cold solve starts one grid level down while that level keeps at least
+# this many points per axis; coarser levels under-resolve the start they
+# hand on.
+_COARSE_MIN_N = 32
 _NO_ROOT_BELOW = "no sign change along the ray below t = 2^60"
 _NO_ROOT_ABOVE = "no sign change along the ray above t = 2^-60"
 
@@ -129,7 +143,15 @@ def _check_restarts(restarts: int, field: str) -> None:
 
 @dataclass
 class SolveReport:
-    """Outcome of one ground-state solve."""
+    """Outcome of one ground-state solve.
+
+    ``iterations`` counts the outer iterations; after a coarse level (see
+    ``_cold_solve``) it counts those of both levels plus 1 for the step
+    between them, and ``t_history`` holds the coarse ray scales followed
+    by the fine ones, so it always has iterations + 1 entries.
+    ``resolution_gap`` is |E_n - E_n/2| / |E_n| between the fine level and
+    the coarse one, or None when no coarse level ran.
+    """
 
     state: StatePair
     level: float
@@ -142,6 +164,7 @@ class SolveReport:
     t_history: list = dc_field(default_factory=list)
     stalled: bool = False
     restarts: int = 1
+    resolution_gap: float | None = None
 
     def summary(self) -> str:
         lines = [
@@ -149,6 +172,10 @@ class SolveReport:
             f"nehari_residual = {self.nehari_residual:.6e}",
             f"gradient_residual = {self.gradient_residual:.6e}",
             f"iterations = {self.iterations}",
+        ]
+        if self.resolution_gap is not None:
+            lines.append(f"resolution_gap = {self.resolution_gap:.6e}")
+        lines += [
             f"positive_fraction_u = {self.positive_fraction_u:.6f}",
             f"positive_fraction_v = {self.positive_fraction_v:.6f}",
             f"converged = {self.converged}",
@@ -312,12 +339,89 @@ def solve_ground_state(
     init: StatePair | None = None,
     opts: SolverOptions | None = None,
 ) -> SolveReport:
-    """Minimize the energy over the constraint set from one starting pair."""
+    """Minimize the energy over the constraint set from one starting pair.
+
+    Without ``init`` the solve is cold: it starts from
+    ``default_initial_state`` and, on grids of 64 points per axis or more,
+    first solves the same problem on half as many (see ``_cold_solve``).
+    A given ``init`` is descended from on this grid alone.
+    """
     opts = opts or SolverOptions()
     _require_valid(problem)
-    if init is None:
-        rng = np.random.default_rng(opts.seed)
-        init = default_initial_state(problem, rng)
+    if init is not None:
+        return _descend(problem, init, opts, opts.max_iters)
+    return _cold_solve(
+        problem,
+        opts,
+        default_initial_state,
+        lambda init, max_iters: _descend(problem, init, opts, max_iters),
+    )
+
+
+def _cold_solve(problem: ProblemSpec, opts: SolverOptions, start, finish) -> SolveReport:
+    """A solve from ``start(problem, rng)``, drawn with the seed's generator;
+    ``finish(init, max_iters)`` descends from ``init`` on the problem's grid.
+
+    With n points per axis, n/2 >= _COARSE_MIN_N and max_iters >= 3, the
+    start is drawn on the coarse problem (n/2 points, same box) instead and
+    descended from there with max_iters - 2 iterations at most.  Its state is
+    prolonged onto n (``_prolong``), clipped at 0 under positivity_clip, and
+    finished with what the coarse level left.  The report counts the
+    iterations of both levels plus 1 for the step between them, lists both
+    levels' ray scales, and gives |E_n - E_n/2| / |E_n| as resolution_gap.
+    """
+    g = problem.grid
+    rng = np.random.default_rng(opts.seed)
+    if g.n_per_axis // 2 < _COARSE_MIN_N or opts.max_iters < 3:
+        return finish(start(problem, rng), opts.max_iters)
+    coarse_problem = problem._coarse
+    coarse = _descend(coarse_problem, start(coarse_problem, rng), opts, opts.max_iters - 2)
+
+    def lift(u: Field) -> Field:
+        values = _prolong(u, g)
+        return Field(g, np.maximum(values, 0.0) if opts.positivity_clip else values)
+
+    state = coarse.state
+    fine = finish(StatePair(lift(state.u), lift(state.v)), opts.max_iters - coarse.iterations - 1)
+    return dataclasses.replace(
+        fine,
+        iterations=coarse.iterations + 1 + fine.iterations,
+        t_history=coarse.t_history + fine.t_history,
+        resolution_gap=abs(fine.level - coarse.level) / abs(fine.level),
+    )
+
+
+def _prolong(u: Field, grid: Grid) -> np.ndarray:
+    """The trigonometric interpolant of a coarse field sampled on ``grid``,
+    which has twice as many points per axis on the same box.
+
+    The coarse half spectrum is zero-padded and scaled by the ratio of the
+    point counts.  Each coarse Nyquist coefficient is split evenly between
+    the modes +n_c/2 and -n_c/2 (on the halved last axis, -n_c/2 is the
+    conjugate partner that irfftn supplies), so the interpolant takes the
+    coarse samples exactly at the shared points and keeps the mean.
+    """
+    nc, n, dim = u.grid.n_per_axis, grid.n_per_axis, grid.dim
+    h = nc // 2
+    spec = u.spectrum
+    for axis in range(dim):
+        last = axis == dim - 1
+        src = np.moveaxis(spec, axis, 0)
+        out = np.zeros((n // 2 + 1 if last else n,) + src.shape[1:], dtype=complex)
+        out[:h] = src[:h]
+        out[h] = 0.5 * src[h]
+        if not last:
+            out[n - h] = 0.5 * src[h]
+            out[n - h + 1:] = src[h + 1:]
+        spec = np.moveaxis(out, 0, axis)
+    return sfft.irfftn(spec * (n / nc) ** dim, s=grid.shape)
+
+
+def _descend(
+    problem: ProblemSpec, init: StatePair, opts: SolverOptions, max_iters: int
+) -> SolveReport:
+    """Projected descent from ``init`` on the problem's own grid, with at
+    most ``max_iters`` outer iterations; the problem is taken as validated."""
     if not init.has_positive_part():
         raise NotInEPlus("initial state has no positive part in either component")
 
@@ -332,7 +436,7 @@ def solve_ground_state(
     stalled = False
     iterations = 0
 
-    for _ in range(opts.max_iters):
+    for _ in range(max_iters):
         residual = _residual(grad, state)
         if last_decrease < opts.tol_energy and residual < opts.tol_residual:
             converged = True
@@ -423,14 +527,32 @@ def solve_scalar_ground_state(
     problem: ProblemSpec,
     opts: SolverOptions | None = None,
 ) -> SolveReport:
-    """Ground state of one component alone (coupling off, other component 0)."""
+    """Ground state of one component alone (coupling off, other component 0).
+
+    The solve is cold and starts from one jittered bump, the first
+    component of ``default_initial_state`` for the same seed, with the
+    other component 0.  Like a cold ``solve_ground_state`` it starts one
+    grid level down when the grid allows (see ``_cold_solve``); the fine
+    level is then a ``solve_ground_state`` from the prolonged pair, whose
+    report the returned one extends by the coarse level.
+    """
     _check_which(which, "which")
     opts = opts or SolverOptions()
-    g = problem.grid
-    active = Field(g, _jittered_bump(g, np.random.default_rng(opts.seed)))
-    zero = Field(g, np.zeros(g.shape))
-    init = StatePair(active, zero) if which == 1 else StatePair(zero, active)
-    return solve_ground_state(problem.with_coupling_scale(0.0), init=init, opts=opts)
+    problem0 = problem.with_coupling_scale(0.0)
+    _require_valid(problem0)
+
+    def start(p: ProblemSpec, rng: np.random.Generator) -> StatePair:
+        g = p.grid
+        active = Field(g, _jittered_bump(g, rng))
+        zero = Field(g, np.zeros(g.shape))
+        return StatePair(active, zero) if which == 1 else StatePair(zero, active)
+
+    def finish(init: StatePair, max_iters: int) -> SolveReport:
+        return solve_ground_state(
+            problem0, init=init, opts=dataclasses.replace(opts, max_iters=max_iters)
+        )
+
+    return _cold_solve(problem0, opts, start, finish)
 
 
 def solve_with_restarts(

@@ -21,3 +21,6 @@ def test_traced_self_check_passes():
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["failed"] == 0
     assert result["correct"]
+    # the scalar solves of a sweep reach their fine level through
+    # solve_ground_state, so the tracer counts their iterations
+    assert result["metrics"]["sweep-cli/experiments.scalar_iters"]["value"] > 0

@@ -156,6 +156,16 @@ def test_check_command_passes(tmp_path, capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n, shown", [(32, False), (64, True)])
+def test_solve_report_shows_the_resolution_gap_when_a_coarse_level_ran(tmp_path, n, shown):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = run(["solve", "--config", str(cfg), "--out", str(out), "--set", f"n={n}"])
+    assert code == 0
+    report = (out / "report.txt").read_text(encoding="ascii")
+    assert ("\nresolution_gap = " in report) == shown
+
+
 def test_check_command_flags_bad_problem(tmp_path):
     text = BASE_CONFIG.replace("coupling.base = 0.5", "coupling.base = 1.5")
     cfg = write_config(tmp_path, text)
@@ -395,6 +405,8 @@ def test_required_keys_alone_take_the_owners_defaults():
         "V1.base=inf", "coupling.base=nan", "coupling.perturbation_width=inf",
         "nl1.kind=pure_power nl1.p=inf",
         "solver.seed=-1",
+        "sweep.scales=0.5,0.2", "sweep.scales=-0.1,0.2", "sweep.scales=nan",
+        "limit.scales=0.1,0.5", "limit.scales=0.5,0", "limit.scales=nan",
         "V1.kind=periodic_trig V1.trig_amplitude=0.1 L=8.5",
         "V1.kind=periodic_trig V1.trig_amplitude=0.1 V1.trig_periods=1,2,3",
     ],
@@ -461,6 +473,20 @@ def test_restarts_refused_where_nothing_restarts(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "--restarts" in err
     assert all(name in err for name in ("solve", "solve-scalar", "compare-periodic"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, override", [("sweep", "sweep.scales=0.5,0.2"), ("limit", "limit.scales=0.1,0.5")]
+)
+def test_misordered_scales_name_their_key_before_any_output(tmp_path, capsys, command, override):
+    cfg = write_config(tmp_path)
+    code = run(
+        [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--set", override]
+    )
+    assert code == 1
+    key = override.partition("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: override: key '{key}': scales must")
     assert not (tmp_path / "out").exists()
 
 

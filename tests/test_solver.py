@@ -8,6 +8,7 @@ import pytest
 from fracground import (
     BracketFailure,
     Field,
+    Grid,
     NonlinearitySpec,
     NotInEPlus,
     SolverOptions,
@@ -16,6 +17,7 @@ from fracground import (
     coupled_quadratic,
     energy,
     integrate,
+    make_grid,
     mountain_pass_diagnostics,
     nehari_project,
     nehari_value,
@@ -26,6 +28,7 @@ from fracground import (
 )
 from fracground import solver
 from helpers import constant_problem, count_ladder_evaluations, smooth_pair
+from test_acceptance import perturbed_problem
 
 
 FAST = SolverOptions(max_iters=4000)
@@ -563,3 +566,117 @@ def test_scalar_start_is_one_component_of_the_default_start(monkeypatch):
     ref = solver.default_initial_state(prob, np.random.default_rng(3)).u.values
     assert np.array_equal(starts[0].u.values, ref) and not starts[0].v.values.any()
     assert np.array_equal(starts[1].v.values, ref) and not starts[1].u.values.any()
+
+
+# ---------------------------------------------------------------------------
+# the two-level cold start
+
+
+def _localized_problem():
+    # 2-D, n=128, L=32: the constant weights give a localized minimizer
+    return constant_problem(n=128, L=32.0)
+
+
+@pytest.mark.parametrize("build", [perturbed_problem, _localized_problem])
+def test_cold_solve_agrees_with_a_fine_only_solve(build):
+    prob = build()
+    opts = SolverOptions(max_iters=6000)
+    cold = solve_ground_state(prob, opts=opts)
+    bump = solver.default_initial_state(prob, np.random.default_rng(opts.seed))
+    fine = solve_ground_state(prob, init=bump, opts=opts)
+    assert cold.converged and fine.converged
+    assert cold.resolution_gap is not None and fine.resolution_gap is None
+    assert abs(cold.level - fine.level) <= 1e-10 * abs(fine.level)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+def test_prolongation_interpolates_the_coarse_samples(dim, n):
+    coarse, fine = make_grid(dim, n, 8.0), make_grid(dim, 2 * n, 8.0)
+    rng = np.random.default_rng(dim)
+    # white noise carries every coarse mode, the Nyquist modes included
+    u = Field(coarse, rng.standard_normal(coarse.shape))
+    values = solver._prolong(u, fine)
+    assert values.shape == fine.shape
+    every_other = (slice(None, None, 2),) * dim
+    assert np.max(np.abs(values[every_other] - u.values)) <= 1e-13
+    assert np.mean(values) == pytest.approx(np.mean(u.values), abs=1e-13)
+    # a fine field without modes at or above n/2 is its own interpolant
+    x = fine.coordinates()
+    smooth = np.exp(sum(np.cos(2.0 * np.pi * k * xi / 8.0) for k, xi in enumerate(x, 1)) / 4.0)
+    below = fine.sq_wavenumber() < (np.pi * n / 8.0) ** 2
+    smooth = np.fft.irfftn(np.fft.rfftn(smooth) * below, s=fine.shape, axes=range(dim))
+    sampled = Field(coarse, smooth[every_other])
+    assert np.max(np.abs(solver._prolong(sampled, fine) - smooth)) <= 1e-13
+
+
+def test_only_cold_solves_from_64_points_build_a_coarse_grid(monkeypatch):
+    small, large = constant_problem(n=32), constant_problem(n=64)
+    bump = solver.default_initial_state(large, np.random.default_rng(0))
+    built = []
+    post_init = Grid.__post_init__
+
+    def counted(self):
+        built.append(self.n_per_axis)
+        post_init(self)
+
+    monkeypatch.setattr(Grid, "__post_init__", counted)
+    assert solve_ground_state(small, opts=FAST).converged
+    assert solve_ground_state(large, init=bump, opts=FAST).converged
+    assert built == []
+    # the coarse problem is kept on the fine one
+    for _ in range(2):
+        assert solve_ground_state(large, opts=FAST).converged
+    assert built == [32]
+
+
+@pytest.mark.parametrize("max_iters", [3, 6000])
+def test_two_level_solve_counts_both_levels_within_max_iters(max_iters):
+    rep = solve_ground_state(constant_problem(n=64), opts=SolverOptions(max_iters=max_iters))
+    assert rep.resolution_gap is not None
+    assert len(rep.t_history) == rep.iterations + 1
+    assert rep.iterations <= max_iters
+    assert rep.converged == (max_iters == 6000)
+    if max_iters == 3:
+        # a coarse iteration, the step to the fine grid and a fine iteration
+        assert rep.iterations == 3
+
+
+def test_resolution_gap_is_set_only_when_a_coarse_level_ran():
+    rep = solve_ground_state(constant_problem(n=32), opts=FAST)
+    assert rep.resolution_gap is None
+    assert "resolution_gap" not in rep.summary()
+    rep = solve_ground_state(perturbed_problem(), opts=FAST)
+    assert rep.converged
+    assert np.isfinite(rep.resolution_gap) and 0.0 <= rep.resolution_gap < 1e-3
+    assert f"resolution_gap = {rep.resolution_gap:.6e}" in rep.summary().splitlines()
+
+
+def test_scalar_solve_starts_one_level_down_from_one_component(monkeypatch):
+    prob = constant_problem(n=64)
+    descents, fine_starts = [], []
+    descend, fine_solve = solver._descend, solver.solve_ground_state
+
+    def recorded_descend(problem, init, opts, max_iters):
+        descents.append(init)
+        return descend(problem, init, opts, max_iters)
+
+    def recorded_solve(problem, init, opts):
+        fine_starts.append(init)
+        return fine_solve(problem, init=init, opts=opts)
+
+    monkeypatch.setattr(solver, "_descend", recorded_descend)
+    monkeypatch.setattr(solver, "solve_ground_state", recorded_solve)
+    bump = solver.default_initial_state(prob._coarse, np.random.default_rng(3)).u.values
+    for which in (1, 2):
+        rep = solve_scalar_ground_state(which, prob, opts=SolverOptions(seed=3))
+        assert rep.converged and rep.resolution_gap is not None
+        assert len(rep.t_history) == rep.iterations + 1
+    # each coarse start is the one-component bump on 32 points
+    coarse = [d for d in descents if d.grid.n_per_axis == 32]
+    assert len(coarse) == 2
+    assert np.array_equal(coarse[0].u.values, bump) and not coarse[0].v.values.any()
+    assert np.array_equal(coarse[1].v.values, bump) and not coarse[1].u.values.any()
+    # and each fine start the prolonged coarse state, its partner still 0
+    assert [s.grid.n_per_axis for s in fine_starts] == [64, 64]
+    assert fine_starts[0].u.values.min() > 0.0 and not fine_starts[0].v.values.any()
+    assert fine_starts[1].v.values.min() > 0.0 and not fine_starts[1].u.values.any()
