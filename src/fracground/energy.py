@@ -135,30 +135,39 @@ def gradient(
 ) -> StatePair:
     """L^2 gradient pair, optionally preconditioned.
 
-    The preconditioner divides Fourier coefficients by |xi|^(2si) + mean(Vi),
-    a positive symbol that tames the stiffness of the fractional operator
-    without changing the set of stationary points; the problem keeps it
-    (ProblemSpec._preconditioner).  It is applied in the same inverse
-    transform as the operator.  Beyond the component's cached spectrum a
-    preconditioned component costs two transforms, a plain one one.
+    The preconditioner applies, mode by mode, the inverse of the coupled
+    block [[|xi|^(2 s1) + mean(V1), -mean(lambda)], [-mean(lambda),
+    |xi|^(2 s2) + mean(V2)]]: both components' residual spectra are formed
+    first and then mixed by the problem's three cached arrays
+    (ProblemSpec._preconditioner) before the inverse transforms.  The block
+    is positive definite, so the stationary points are unchanged; it tames
+    the stiffness of the fractional operators and, for constant weights,
+    inverts the linear part exactly, coupling included.  Beyond the
+    component's cached spectrum a preconditioned component costs two
+    transforms, a plain one one.
     """
     _check_state(state, problem)
     g = problem.grid
     lam = problem.coupling_field.values
-    out = []
-    for i, w, other, s, V, nl in (
-        (0, state.u, state.v.values, problem.s1, problem.V1_field, problem.nl1),
-        (1, state.v, state.u.values, problem.s2, problem.V2_field, problem.nl2),
+    parts = []
+    for w, other, s, V, nl in (
+        (state.u, state.v.values, problem.s1, problem.V1_field, problem.nl1),
+        (state.v, state.u.values, problem.s2, problem.V2_field, problem.nl2),
     ):
         sym = g.symbol(s)
         local = V.values * w.values - nl.f(w.values) - lam * other
         if preconditioned:
-            spectrum = sym * w.spectrum + sfft.rfftn(local)
-            gw = sfft.irfftn(spectrum / problem._preconditioner[i], s=g.shape)
+            parts.append(sym * w.spectrum + sfft.rfftn(local))
         else:
-            gw = sfft.irfftn(sym * w.spectrum, s=g.shape) + local
-        out.append(Field(g, gw))
-    return StatePair(*out)
+            parts.append(sfft.irfftn(sym * w.spectrum, s=g.shape) + local)
+    if preconditioned:
+        r1, r2 = parts
+        p11, p12, p22 = problem._preconditioner
+        parts = [
+            sfft.irfftn(p11 * r1 + p12 * r2, s=g.shape),
+            sfft.irfftn(p12 * r1 + p22 * r2, s=g.shape),
+        ]
+    return StatePair(Field(g, parts[0]), Field(g, parts[1]))
 
 
 def l2_norm_pair(state: StatePair) -> float:

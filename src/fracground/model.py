@@ -414,7 +414,8 @@ class ProblemSpec:
     full (possibly perturbed) potentials and coupling, or their periodic
     parts only.  Periodic weights must fit the grid (see _axis_periods) on
     construction.  Sampled weights, the hypothesis audit, the gradient's
-    preconditioner and the coarse problem of a cold solve are derived once
+    preconditioner (the per-mode inverse of the coupled linear part with
+    mean weights) and the coarse problem of a cold solve are derived once
     and cached on the instance.
     """
 
@@ -441,9 +442,39 @@ class ProblemSpec:
 
     @cached_property
     def _preconditioner(self) -> tuple:
-        """|xi|^(2 si) + mean(Vi) on the half spectrum, for i = 1, 2."""
+        """The per-mode inverse of the linear part with mean weights, as
+        three real arrays on the half spectrum: (b, l, a) / (ab - l^2).
+
+        Each mode's block is [[a, -l], [-l, b]] with a = |xi|^(2 s1) +
+        mean(V1), b = |xi|^(2 s2) + mean(V2) and l = mean(coupling), so its
+        inverse maps the pair of residual spectra (r1, r2) to
+        ((b r1 + l r2), (l r1 + a r2)) / (ab - l^2).  For constant weights
+        it is the exact inverse of the linear part.  Under the audit it is
+        positive definite: |l| <= delta mean(sqrt(V1 V2)) <= delta
+        sqrt(mean(V1) mean(V2)) by Cauchy-Schwarz, so ab - l^2 >=
+        (1 - delta^2) ab > 0.  A block that is not positive definite on some
+        mode raises ValidationFailed naming the hypothesis it breaks.
+        """
         sym = self.grid.symbol
-        return (sym(self.s1) + self.mean_potential(1), sym(self.s2) + self.mean_potential(2))
+        a = sym(self.s1) + self.mean_potential(1)
+        b = sym(self.s2) + self.mean_potential(2)
+        lam = self.mean_coupling()
+        if not (np.min(a) > 0.0 and np.min(b) > 0.0):  # false on nan
+            raise ValidationFailed(
+                "preconditioner not positive definite: mean potentials "
+                f"{self.mean_potential(1):.6g}, {self.mean_potential(2):.6g} must be "
+                "positive (potential positivity: periodic_potentials_positive, "
+                "potential_perturbations_lower)"
+            )
+        det = a * b - lam * lam
+        if not np.min(det) > 0.0:
+            raise ValidationFailed(
+                f"preconditioner not positive definite: mean coupling {lam:.6g} "
+                "squared reaches the product of the mean potentials on some mode "
+                "(relative coupling size: coupling_size_effective, "
+                f"delta_eff = {self.delta_eff:.6g})"
+            )
+        return b / det, lam / det, a / det
 
     @cached_property
     def _coarse(self) -> "ProblemSpec":
@@ -476,6 +507,9 @@ class ProblemSpec:
     def mean_potential(self, which: int) -> float:
         field = self.V1_field if which == 1 else self.V2_field
         return float(np.mean(field.values))
+
+    def mean_coupling(self) -> float:
+        return float(np.mean(self.coupling_field.values))
 
     def with_coupling_scale(self, factor: float) -> "ProblemSpec":
         return dataclasses.replace(self, coupling=self.coupling.scaled(factor))

@@ -15,10 +15,16 @@ the energy and the gradient share them.
 
 The outer iteration steps against the preconditioned gradient, projects
 the trial pair and accepts it once its energy is strictly lower,
-backtracking otherwise.  Each line search starts from the short
-Barzilai-Borwein step <s,y>/<y,y> of the last accepted iteration (s the
-change of the pair, y that of its preconditioned gradient), which tracks
-the curvature along the path; the first iteration starts from step_init.
+backtracking otherwise.  The preconditioner inverts, mode by mode, the
+coupled linear part with mean weights, [[|xi|^(2 s1) + mean(V1),
+-mean(lambda)], [-mean(lambda), |xi|^(2 s2) + mean(V2)]] (the coupled
+form of Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).  It costs
+no transform beyond the gradient's own, and since it sees the coupling,
+solves near the coupling bound delta -> 1 stay short.  Each line search
+starts from the short Barzilai-Borwein step <s,y>/<y,y> of the last
+accepted iteration (s the change of the pair, y that of its
+preconditioned gradient), which tracks the curvature along the path; the
+first iteration starts from step_init.
 Convergence requires both energy stagnation and a small preconditioned
 gradient residual.  Near a minimizer the energy is flat to within its own
 rounding, so there a first trial is also accepted when it raises the

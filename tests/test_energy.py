@@ -12,14 +12,17 @@ from fracground import (
     ProblemSpec,
     ScalarFunctionSpec,
     StatePair,
+    ValidationFailed,
     coupled_quadratic,
     energy,
     gradient,
     l2_norm_pair,
     make_grid,
     nehari_value,
+    validate_assumptions,
 )
 from helpers import constant_problem, constant_spec, full_symbol, smooth_pair
+from test_acceptance import perturbed_problem
 
 
 def _trig_fixture(n=64):
@@ -377,19 +380,28 @@ def test_energy_respects_periodic_reference_flag():
 
 
 def test_gradient_takes_the_mean_potentials_once_per_problem(monkeypatch):
-    # the preconditioner |xi|^(2si) + mean(Vi) is kept on the problem
+    # the preconditioner, the inverse of the block [[|xi|^(2 s1) + mean(V1),
+    # -mean(lambda)], [-mean(lambda), |xi|^(2 s2) + mean(V2)]], is kept on
+    # the problem, so neither the mean potentials nor the mean coupling are
+    # taken again
     prob = constant_problem(n=16)
     state = smooth_pair(prob, 0)
     calls = []
-    mean = ProblemSpec.mean_potential
+    mean, mean_coupling = ProblemSpec.mean_potential, ProblemSpec.mean_coupling
 
     def counted(self, which):
         calls.append(which)
         return mean(self, which)
 
+    def counted_coupling(self):
+        calls.append("coupling")
+        return mean_coupling(self)
+
     monkeypatch.setattr(ProblemSpec, "mean_potential", counted)
+    monkeypatch.setattr(ProblemSpec, "mean_coupling", counted_coupling)
     first = gradient(state, prob, preconditioned=True)
     taken = len(calls)
+    assert calls.count("coupling") == 1
     again = gradient(state, prob, preconditioned=True)
     assert len(calls) == taken
     assert np.array_equal(first.u.values, again.u.values)
@@ -401,18 +413,91 @@ def test_gradient_takes_the_mean_potentials_once_per_problem(monkeypatch):
     "dim,n,s,kind", [(1, 64, 0.3, "log_power"), (2, 32, 0.5, "log_power"), (3, 16, 0.8, "pure_power")]
 )
 def test_gradient_real_transform_matches_complex_reference(dim, n, s, kind, preconditioned):
-    # the real-transform gradient, with the preconditioner folded into the
-    # operator's inverse transform, against the two-stage complex formula
+    # the real-transform gradient, with the preconditioner mixed into the
+    # operator's inverse transforms, against the complex formula with an
+    # explicit 2x2 solve per mode
     prob = constant_problem(dim=dim, n=n, s=s, nl_kind=kind)
     state = smooth_pair(prob, 3, positive=False)
     lam = prob.coupling_field.values
-    for w, other, V, nl, which, got in (
-        (state.u.values, state.v.values, prob.V1_field.values, prob.nl1, 1, "u"),
-        (state.v.values, state.u.values, prob.V2_field.values, prob.nl2, 2, "v"),
-    ):
-        sym = full_symbol(prob.grid, s)
-        ref = np.fft.ifftn(sym * np.fft.fftn(w)).real + V * w - nl.f(w) - lam * other
-        if preconditioned:
-            ref = np.fft.ifftn(np.fft.fftn(ref) / (sym + prob.mean_potential(which))).real
-        out = getattr(gradient(state, prob, preconditioned=preconditioned), got).values
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    sym = full_symbol(prob.grid, s)
+    refs = [
+        np.fft.ifftn(sym * np.fft.fftn(w)).real + V * w - nl.f(w) - lam * other
+        for w, other, V, nl in (
+            (state.u.values, state.v.values, prob.V1_field.values, prob.nl1),
+            (state.v.values, state.u.values, prob.V2_field.values, prob.nl2),
+        )
+    ]
+    if preconditioned:
+        block = np.empty(sym.shape + (2, 2))
+        block[..., 0, 0] = sym + np.mean(prob.V1_field.values)
+        block[..., 1, 1] = sym + np.mean(prob.V2_field.values)
+        block[..., 0, 1] = block[..., 1, 0] = -np.mean(lam)
+        rhs = np.stack([np.fft.fftn(r) for r in refs], axis=-1)[..., None]
+        solved = np.linalg.solve(block.astype(complex), rhs)[..., 0]
+        refs = [np.fft.ifftn(solved[..., i]).real for i in range(2)]
+    out = gradient(state, prob, preconditioned=preconditioned)
+    for got, ref in zip((out.u.values, out.v.values), refs):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        perturbed_problem(),
+        perturbed_problem().with_periodic_reference(True),
+        constant_problem(lam=0.99 * np.sqrt(1.5)),
+    ],
+    ids=["perturbed", "periodic_reference", "constant_delta_0.99"],
+)
+def test_block_preconditioner_is_positive_definite_under_the_audit(problem):
+    # |mean(lambda)| <= delta sqrt(mean(V1) mean(V2)) by Cauchy-Schwarz, so
+    # ab - mean(lambda)^2 >= (1 - delta^2) ab on every mode
+    assert validate_assumptions(problem).all_passed
+    delta = problem.delta_eff
+    a = problem.grid.symbol(problem.s1) + np.mean(problem.V1_field.values)
+    b = problem.grid.symbol(problem.s2) + np.mean(problem.V2_field.values)
+    lam = np.mean(problem.coupling_field.values)
+    det = a * b - lam**2
+    assert np.all(det >= (1.0 - delta**2) * a * b * (1.0 - 1e-12))
+    assert np.min(det) > 0.0
+    p11, p12, p22 = problem._preconditioner
+    for got, want in ((p11, b / det), (p12, lam / det), (p22, a / det)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.min(p11) > 0.0 and np.min(p11 * p22 - p12**2) > 0.0
+
+
+@pytest.mark.parametrize("dim,n,s1,s2", [(1, 64, 0.3, 0.7), (2, 32, 0.5, 0.8), (3, 16, 0.9, 0.4)])
+def test_block_preconditioner_inverts_the_constant_weight_linear_part(dim, n, s1, s2):
+    # with constant weights the block is the linear part itself, so applying
+    # [[|xi|^(2 s1) + V1, -lambda], [-lambda, |xi|^(2 s2) + V2]] to the
+    # preconditioned gradient gives back the plain one
+    prob = dataclasses.replace(constant_problem(dim=dim, n=n, s=s1, lam=0.9), s2=s2)
+    state = smooth_pair(prob, 5)
+    plain = gradient(state, prob)
+    pre = gradient(state, prob, preconditioned=True)
+    lam = 0.9
+    hu, hv = np.fft.fftn(pre.u.values), np.fft.fftn(pre.v.values)
+    back_u = np.fft.ifftn((full_symbol(prob.grid, s1) + 1.0) * hu - lam * hv).real
+    back_v = np.fft.ifftn((full_symbol(prob.grid, s2) + 1.5) * hv - lam * hu).real
+    scale = max(np.max(np.abs(plain.u.values)), np.max(np.abs(plain.v.values)))
+    assert np.max(np.abs(back_u - plain.u.values)) <= 1e-13 * scale
+    assert np.max(np.abs(back_v - plain.v.values)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize(
+    "problem,check",
+    [
+        (constant_problem(v1=0.0), "periodic_potentials_positive"),
+        (constant_problem(lam=2.0), "coupling_size_effective"),
+    ],
+    ids=["V1_zero", "lambda_2"],
+)
+def test_preconditioner_not_positive_definite_is_refused_typed(problem, check):
+    # V1 = 0 leaves the zero mode without a positive diagonal; lambda = 2
+    # against V = (1, 1.5) (delta_eff = 1.63) makes the block indefinite
+    assert check in {c.name for c in validate_assumptions(problem).failures()}
+    state = smooth_pair(problem, 1)
+    with pytest.raises(ValidationFailed, match=check):
+        gradient(state, problem, preconditioned=True)
+    # the plain gradient needs no preconditioner
+    assert np.all(np.isfinite(gradient(state, problem).u.values))

@@ -478,6 +478,20 @@ def test_power3d_converges_at_default_tolerance(seed):
     assert rep.iterations < 31
 
 
+@pytest.mark.parametrize(
+    "n,L,max_iters,level",
+    [(64, 8.0, 18, 0.03863480045947743), (128, 32.0, 40, 0.6181568073516686)],
+)
+def test_block_preconditioner_keeps_near_bound_cold_solves_short(n, L, max_iters, level):
+    # delta = 0.9: the coupling-blind diagonal preconditioner took 30 and
+    # 71 iterations on these cold solves; the levels are the ones it found
+    prob = constant_problem(n=n, L=L, lam=0.9 * np.sqrt(1.5))
+    rep = solve_ground_state(prob)
+    assert rep.converged
+    assert rep.iterations <= max_iters
+    assert rep.level == pytest.approx(level, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # geometry diagnostics
 
