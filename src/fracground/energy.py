@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import Field, GridMismatch, hs_quadratic_form
+from .grid import Field, GridMismatch, _with_spectrum, hs_quadratic_form
 from .model import ProblemSpec
 
 __all__ = [
@@ -42,7 +42,9 @@ DEFAULT_NEHARI_TOL = 1.0e-10
 
 @dataclass(frozen=True)
 class StatePair:
-    """A candidate pair (u, v) on a common grid."""
+    """A candidate pair (u, v) on a common grid.  The pair keeps the
+    quadratic parts of the last problem they were computed for (see
+    ``_quadratic_parts``)."""
 
     u: Field
     v: Field
@@ -56,9 +58,15 @@ class StatePair:
         return self.u.grid
 
     def scaled(self, t: float) -> "StatePair":
-        """t times the pair; spectra already taken are scaled along, so the
-        scaled pair's quadratic form costs no transform."""
-        return StatePair(self.u.scaled(t), self.v.scaled(t))
+        """t times the pair; spectra already taken are scaled along by t and
+        quadratic parts already computed by t^2, so the scaled pair's
+        quadratic form costs no transform, and known parts are not computed
+        again."""
+        out = StatePair(self.u.scaled(t), self.v.scaled(t))
+        if "_quad" in self.__dict__:
+            problem, parts = self._quad
+            out.__dict__["_quad"] = (problem, tuple(t * t * q for q in parts))
+        return out
 
     def has_positive_part(self) -> bool:
         return bool(
@@ -85,16 +93,25 @@ def _check_state(state: StatePair, problem: ProblemSpec) -> None:
 
 
 def _quadratic_parts(state: StatePair, problem: ProblemSpec) -> tuple:
-    """(Q1(u), Q2(v), 2 int lambda u v).  Q1 and Q2 read the components'
-    cached spectra, so only a component whose transform was never taken
-    costs one here."""
+    """(Q1(u), Q2(v), 2 int lambda u v), computed once per pair and problem.
+
+    The parts are kept on the pair for the problem (by identity) they were
+    computed for; another problem, such as ``with_coupling_scale`` of it,
+    computes its own.  Q1 and Q2 read the components' spectra, so only a
+    component whose transform was neither taken nor carried costs one here.
+    """
+    cached = state.__dict__.get("_quad")
+    if cached is not None and cached[0] is problem:
+        return cached[1]
     dV = problem.grid.cell_volume
     u, v = state.u.values, state.v.values
-    return (
+    parts = (
         hs_quadratic_form(state.u, problem.s1, problem.V1_field),
         hs_quadratic_form(state.v, problem.s2, problem.V2_field),
-        2.0 * dV * float(np.sum(problem.coupling_field.values * u * v)),
+        2.0 * dV * float(np.vdot(problem.coupling_field.values, u * v)),
     )
+    state.__dict__["_quad"] = (problem, parts)
+    return parts
 
 
 def _nonlinear_pairing(state: StatePair, problem: ProblemSpec) -> float:
@@ -143,8 +160,10 @@ def gradient(
     is positive definite, so the stationary points are unchanged; it tames
     the stiffness of the fractional operators and, for constant weights,
     inverts the linear part exactly, coupling included.  Beyond the
-    component's cached spectrum a preconditioned component costs two
-    transforms, a plain one one.
+    component's spectrum a preconditioned component costs two transforms,
+    a plain one one.  Each preconditioned output Field carries the mixed
+    half spectrum it was transformed back from, so a step along it forms
+    its trial's spectrum without a transform (see solver._descend).
     """
     _check_state(state, problem)
     g = problem.grid
@@ -163,10 +182,10 @@ def gradient(
     if preconditioned:
         r1, r2 = parts
         p11, p12, p22 = problem._preconditioner
-        parts = [
-            sfft.irfftn(p11 * r1 + p12 * r2, s=g.shape),
-            sfft.irfftn(p12 * r1 + p22 * r2, s=g.shape),
-        ]
+        mixed = (p11 * r1 + p12 * r2, p12 * r1 + p22 * r2)
+        return StatePair(
+            *(_with_spectrum(g, sfft.irfftn(m, s=g.shape), m) for m in mixed)
+        )
     return StatePair(Field(g, parts[0]), Field(g, parts[1]))
 
 

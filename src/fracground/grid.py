@@ -154,12 +154,33 @@ class Grid:
             cache[key] = self.sq_wavenumber() ** float(s)
         return cache[key]
 
+    def parseval_weight(self, s: float) -> np.ndarray:
+        """Weights w with int |(-Lap)^(s/2) u|^2 = cell_volume * sum(w x^2),
+        x the real and imaginary parts of u's half spectrum, interleaved as
+        ``Field.spectrum.view(float)`` lays them out (a flat array).
+
+        w is 2 |xi|^(2s) / npoints: the last axis's modes other than 0 and
+        n/2 stand for conjugate pairs and count twice, those two columns
+        once, so they carry half of it.
+        """
+        cache = self._cache
+        key = ("parseval", float(s))
+        if key not in cache:
+            w = (2.0 / self.npoints) * self.symbol(s)
+            w[..., 0] *= 0.5
+            w[..., -1] *= 0.5
+            cache[key] = np.repeat(w, 2, axis=-1).ravel()
+        return cache[key]
+
 
 @dataclass(frozen=True)
 class Field:
     """Real samples of a function on a grid, row-major layout.  The values
     are read-only, never written after construction, so their transform
-    ``spectrum`` is taken at most once, on first use, and kept."""
+    ``spectrum`` is taken at most once, on first use, and kept.  A field
+    built from others may instead carry a spectrum formed from theirs
+    (``scaled``, ``_with_spectrum``); it equals ``rfftn`` of the values up
+    to rounding."""
 
     grid: Grid
     values: np.ndarray
@@ -182,15 +203,26 @@ class Field:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """``rfftn`` of the values: the half spectrum of ``Grid.symbol``."""
+        """``rfftn`` of the values, the half spectrum of ``Grid.symbol``:
+        taken on first use, or carried from the fields this one was formed
+        from, and then equal to it up to rounding."""
         return sfft.rfftn(self.values)
 
     def scaled(self, t: float) -> "Field":
-        """t times the field; a spectrum already taken is scaled along."""
-        out = Field(self.grid, t * self.values)
+        """t times the field; a spectrum already taken or carried is scaled
+        along."""
         if "spectrum" in self.__dict__:
-            out.__dict__["spectrum"] = t * self.spectrum
-        return out
+            return _with_spectrum(self.grid, t * self.values, t * self.spectrum)
+        return Field(self.grid, t * self.values)
+
+
+def _with_spectrum(grid: Grid, values: np.ndarray, spectrum: np.ndarray) -> Field:
+    """A field that carries ``spectrum``, formed by the caller from spectra
+    it already holds, as its transform; it must equal ``rfftn(values)`` up
+    to rounding."""
+    out = Field(grid, values)
+    out.__dict__["spectrum"] = spectrum
+    return out
 
 
 def make_grid(dim: int, n_per_axis: int, box_length: float) -> Grid:
@@ -235,18 +267,19 @@ def lp_norm(u: Field, p: float) -> float:
 def hs_quadratic_form(u: Field, s: float, V: Field) -> float:
     """Quadratic form int |(-Lap)^(s/2) u|^2 + V u^2 dx, order s in (0, 1].
 
-    The half-order term is the Parseval sum of
-    |xi|^(2s) |u_hat|^2 / npoints over the field's half spectrum, where the
-    last axis's modes other than 0 and n/2 stand for conjugate pairs and
-    count twice.  V is any sampled weight; positivity is checked elsewhere.
+    The half-order term is the Parseval sum of |xi|^(2s) |u_hat|^2 /
+    npoints over the field's half spectrum (taken or carried, see
+    ``Field``), one dot product of the squared real and imaginary parts
+    with ``Grid.parseval_weight``, cached per grid and order.  The
+    potential term is one dot product of V with u^2.  V is any sampled
+    weight; positivity is checked elsewhere.
     """
     _check_order(s, "s")
     _check_same_grid(u, V)
-    g, spec = u.grid, u.spectrum
-    p = g.symbol(s) * (spec.real**2 + spec.imag**2)
-    kinetic = float(2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1]))
-    potential = float(np.sum(V.values * u.values**2))
-    return g.cell_volume * (kinetic / g.npoints + potential)
+    g, x = u.grid, u.spectrum.view(np.float64).ravel()
+    kinetic = float(np.vdot(g.parseval_weight(s), x * x))
+    potential = float(np.vdot(V.values, u.values * u.values))
+    return g.cell_volume * (kinetic + potential)
 
 
 def write_field(u: Field, path) -> None:

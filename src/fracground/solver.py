@@ -9,9 +9,19 @@ safeguarded Newton iteration on ln(N(t)/t^2) against ln t finds it in a
 few evaluations on the positive samples.  Each evaluation takes f once for
 N and NonlinearitySpec.dnq, the closed form of f'(x)x - f(x), once for the
 slope int dnq(x) x / N; for log_power with gamma = 1 that closed form needs
-no logarithm.  Each field keeps its Fourier transform (grid.Field.spectrum)
-and a projected pair carries t times its trial's, so the projection's Q,
-the energy and the gradient share them.
+no logarithm.  A pure power takes a whole exponent up to 8 by
+multiplication.
+
+A trial costs no transform.  Each field keeps its Fourier transform
+(grid.Field.spectrum), and the preconditioned gradient's fields carry the
+half spectra they were transformed back from, so a trial component
+w - eta g that the positivity clip leaves unchanged carries w's spectrum
+minus eta times g's; only a clipped one takes its own.  The projection's
+Q (two Parseval dot products) is kept on the trial and carried times t^2
+onto the projected pair, whose energy reads it, and the projected pair
+carries t times the trial's spectra for its gradient.  An accepted step
+thus costs the 4 transforms of that gradient, and each projection 2
+quadratic forms.
 
 The outer iteration steps against the preconditioned gradient, projects
 the trial pair and accepts it once its energy is strictly lower,
@@ -58,7 +68,7 @@ from .energy import (
     gradient,
     l2_norm_pair,
 )
-from .grid import Field, Grid, _RuleError, hs_quadratic_form
+from .grid import Field, Grid, _RuleError, _with_spectrum, hs_quadratic_form
 from .model import ProblemSpec, ValidationFailed, gaussian_bump, validate_assumptions
 
 __all__ = [
@@ -89,6 +99,7 @@ _ENERGY_ROUNDING_ULPS = 16.0
 # The ray scale is sought in [2^-60, 2^60]; outside it the projection fails.
 _MAX_DOUBLINGS = 60
 _T_MAX = 2.0**_MAX_DOUBLINGS
+_LOG_T_MAX = _MAX_DOUBLINGS * np.log(2.0)
 # Newton on the ray stops after a step of at most this relative size (the
 # error left after it is of order its square), or fails after so many
 # evaluations; bisection alone needs about 36 to cross the whole range.
@@ -243,13 +254,15 @@ def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
         p = exponents.pop()
         with np.errstate(over="ignore"):
             S = dV * sum(float(np.sum(nl.f(x) * x)) for nl, x in parts)
-        # S underflows to 0 (or overflows) only far outside the range
-        t = (Q / S) ** (1.0 / (p - 2.0)) if S > 0.0 else np.inf
-        if t > _T_MAX:
+        # S underflows to 0 (or overflows) only far outside the range; the
+        # range is checked on ln t, since t itself may lie beyond the floats
+        ratio = Q / S if S > 0.0 else np.inf
+        log_t = np.log(ratio) / (p - 2.0) if ratio > 0.0 else -np.inf
+        if log_t > _LOG_T_MAX:
             raise BracketFailure(_NO_ROOT_BELOW)
-        if t < 1.0 / _T_MAX:
+        if log_t < -_LOG_T_MAX:
             raise BracketFailure(_NO_ROOT_ABOVE)
-        return t
+        return ratio ** (1.0 / (p - 2.0))
 
     def log_ratio(t: float) -> tuple:
         # h = ln(N(t) / (t^2 Q)) and its slope in ln t; the slope is nan
@@ -452,16 +465,12 @@ def _descend(
         accepted = False
         cand_grad = None
         while eta >= _STEP_FLOOR * eta0:
-            cu = state.u.values - eta * grad.u.values
-            cv = state.v.values - eta * grad.v.values
-            if opts.positivity_clip:
-                cu = np.maximum(cu, 0.0)
-                cv = np.maximum(cv, 0.0)
+            pair = StatePair(
+                _trial(state.u, grad.u, eta, opts.positivity_clip),
+                _trial(state.v, grad.v, eta, opts.positivity_clip),
+            )
             try:
-                t0, cand = nehari_project(
-                    StatePair(Field(problem.grid, cu), Field(problem.grid, cv)),
-                    problem,
-                )
+                t0, cand = nehari_project(pair, problem)
             except (NotInEPlus, BracketFailure):
                 eta *= opts.backtrack_factor
                 continue
@@ -502,6 +511,16 @@ def _descend(
         t_history.append(t0)
 
     return _finish_report(state, parts, grad, problem, iterations, converged, stalled, t_history)
+
+
+def _trial(w: Field, g: Field, eta: float, clip: bool) -> Field:
+    """The trial component w - eta g, clipped at 0 under ``clip``.  When
+    the clip leaves it unchanged it carries w's spectrum minus eta times
+    g's (the gradient's own, carried), so it takes no transform."""
+    values = w.values - eta * g.values
+    if clip and values.min() < 0.0:
+        return Field(w.grid, np.maximum(values, 0.0))
+    return _with_spectrum(w.grid, values, w.spectrum - eta * g.spectrum)
 
 
 def _residual(grad: StatePair, state: StatePair) -> float:

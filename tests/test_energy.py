@@ -1,6 +1,7 @@
 """The coupled energy functional, its gradient, and the ray constraint."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -501,3 +502,48 @@ def test_preconditioner_not_positive_definite_is_refused_typed(problem, check):
         gradient(state, problem, preconditioned=True)
     # the plain gradient needs no preconditioner
     assert np.all(np.isfinite(gradient(state, problem).u.values))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_preconditioned_gradient_carries_its_transform(dim, n):
+    # each output field keeps the mixed half spectrum it was transformed
+    # back from, which must be the transform of its values up to rounding;
+    # unequal orders and a nonzero mean coupling mix the two components
+    prob = dataclasses.replace(constant_problem(dim=dim, n=n, s=0.4), s2=0.9)
+    assert prob.mean_coupling() != 0.0
+    grad = gradient(smooth_pair(prob, 3), prob, preconditioned=True)
+    for w in (grad.u, grad.v):
+        assert "spectrum" in w.__dict__
+        fresh = np.fft.rfftn(w.values)
+        assert np.max(np.abs(w.spectrum - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+    plain = gradient(smooth_pair(prob, 3), prob)
+    assert "spectrum" not in plain.u.__dict__
+
+
+def test_quadratic_parts_are_kept_for_their_own_problem(monkeypatch):
+    # a pair keeps the parts of the problem (by identity) they were computed
+    # for and carries them through scaled(); another problem, even one
+    # derived from it, computes its own
+    energy_module = sys.modules["fracground.energy"]
+    calls = []
+    form = energy_module.hs_quadratic_form
+
+    def counted(u, s, V):
+        calls.append(1)
+        return form(u, s, V)
+
+    monkeypatch.setattr(energy_module, "hs_quadratic_form", counted)
+    prob = constant_problem()
+    state = smooth_pair(prob, 0)
+    Q = coupled_quadratic(state, prob)
+    assert len(calls) == 2
+    assert coupled_quadratic(state.scaled(3.0), prob) == pytest.approx(9.0 * Q, rel=1e-15)
+    assert len(calls) == 2
+    other = prob.with_coupling_scale(0.0)
+    scaled = state.scaled(3.0)
+    Q_other = coupled_quadratic(scaled, other)
+    assert len(calls) == 4
+    g = prob.grid
+    fresh = StatePair(Field(g, scaled.u.values), Field(g, scaled.v.values))
+    assert Q_other == pytest.approx(coupled_quadratic(fresh, other), rel=1e-14)
+    assert Q_other > 9.0 * Q

@@ -193,6 +193,34 @@ def test_dnq_matches_high_precision_derivative(nl):
     assert nl.dnq(0.0) == 0.0 and nl.dnq(-2.0) == 0.0
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0, 2.5, 3.7])
+def test_pure_power_matches_high_precision_reference(p):
+    # f, F, nq and dnq against 40-digit powers to within 4 eps = 2^-50
+    # relative (at most 2 ulp): a whole exponent is taken by repeated
+    # squaring, whose relative error for t^k is at most (k - 1)/2 ulp, plus
+    # half an ulp per coefficient and product; a non-whole one by ``**``.
+    # All vanish on t <= 0.
+    mp = pytest.importorskip("mpmath")
+    nl = NonlinearitySpec(kind="pure_power", p=p)
+    ts = np.geomspace(1e-10, 1e6, 41)
+    tol = 4.0 * np.finfo(float).eps
+    with mp.workdps(40):
+        pm = mp.mpf(p)
+        refs = {
+            nl.f: lambda t: t ** (pm - 1),
+            nl.F: lambda t: t**pm / pm,
+            nl.nq: lambda t: (1 - 2 / pm) * t**pm,
+            nl.dnq: lambda t: (pm - 2) * t ** (pm - 1),
+        }
+        for fn, ref in refs.items():
+            values = fn(ts)
+            for t, value in zip(ts, values):
+                exact = ref(mp.mpf(float(t)))
+                assert abs(value - exact) <= tol * exact, (fn.__name__, t)
+            assert np.array_equal(fn(np.array([0.0, -0.0, -1e-300, -2.0, -1e300])), np.zeros(5))
+            assert fn(0.0) == 0.0 and fn(-3.0) == 0.0
+
+
 @pytest.mark.parametrize("gamma", [1.5, 2.0, 4.0, 1.0e300])
 def test_log_power_entries_do_not_depend_on_their_neighbours(gamma):
     # F(a)[i] and nq(a)[i] equal, bit for bit, the values for a[i:i+1]

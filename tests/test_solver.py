@@ -1,6 +1,7 @@
 """Constraint projection, the descent solver, and geometry diagnostics."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,21 @@ def test_projection_fails_typed_without_sign_change(nl1, nl2, both, amplitude, e
         nehari_project(state, prob)
 
 
+@pytest.mark.parametrize(
+    "v,lam,end", [(10.0, 0.5, r"below t = 2\^60"), (0.01, 0.005, r"above t = 2\^-60")]
+)
+def test_closed_form_projection_fails_typed_beyond_the_float_range(v, lam, end):
+    # with p - 2 = 0.001 the closed-form root (Q / S)^1000 of a constant
+    # pair lies beyond the float range (Q / S = 9.5) or below it (0.005);
+    # the first once escaped as a bare OverflowError
+    nl = NonlinearitySpec(kind="pure_power", p=2.001)
+    prob = dataclasses.replace(constant_problem(v1=v, v2=v, lam=lam), nl1=nl, nl2=nl)
+    g = prob.grid
+    ones = Field(g, np.ones(g.shape))
+    with pytest.raises(BracketFailure, match=end):
+        nehari_project(StatePair(ones, ones), prob)
+
+
 def test_projection_newton_needs_few_evaluations(monkeypatch):
     # from the initial bump (t ~ 10) and along a solve (t ~ 1)
     prob = constant_problem()
@@ -206,17 +222,19 @@ def test_projection_properties():
 
 @pytest.mark.parametrize("nl", [LOG1, QUARTIC], ids=["log_power", "pure_power"])
 def test_line_search_energy_from_scaled_pieces(nl):
-    # a projected pair carries t0 times its trial's spectra, so its energy
-    # takes no transform; it must agree with a pair built afresh from the
-    # same values
+    # a projected pair carries t0 times its trial's spectra and t0^2 times
+    # the quadratic parts the projection computed, so its energy takes no
+    # transform and no quadratic form; it must agree with a pair built
+    # afresh from the same values, with nothing cached
     prob = dataclasses.replace(constant_problem(s=0.8), nl1=nl, nl2=nl)
     g = prob.grid
     for seed in range(4):
         trial = smooth_pair(prob, seed, positive=seed % 2 == 0).scaled(0.3 + seed)
         _, cand = nehari_project(trial, prob)
+        assert "_quad" in cand.__dict__
         parts = energy(cand, prob)
         fresh = energy(StatePair(Field(g, cand.u.values), Field(g, cand.v.values)), prob)
-        assert abs(parts.total - fresh.total) <= 1e-13 * abs(fresh.total)
+        assert abs(parts.total - fresh.total) <= 1e-14 * abs(fresh.total)
         scale = fresh.quad_u + fresh.quad_v
         for name in ("quad_u", "quad_v", "coupling_term"):
             assert abs(getattr(parts, name) - getattr(fresh, name)) <= 1e-13 * scale
@@ -306,6 +324,71 @@ def test_solve_takes_at_most_seven_transforms_per_iteration(monkeypatch):
     rep = solve_ground_state(constant_problem())
     assert rep.converged
     assert len(calls) <= 7 * rep.iterations + 6
+
+
+def test_solve_takes_four_transforms_per_iteration_and_two_forms_per_projection(
+    monkeypatch,
+):
+    # a trial the clip leaves alone carries its spectrum from the state's
+    # and the gradient's, and a projected pair carries its quadratic parts,
+    # so an accepted step costs the 4 transforms of the preconditioned
+    # gradient and a projection the 2 forms of its trial
+    import scipy.fft
+
+    transforms, forms, projections = [], [], []
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(scipy.fft, name), **kwargs):
+            transforms.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    energy_module = sys.modules["fracground.energy"]
+    form, project = energy_module.hs_quadratic_form, solver.nehari_project
+
+    def counted_form(*args):
+        forms.append(1)
+        return form(*args)
+
+    def counted_project(state, problem):
+        projections.append(1)
+        return project(state, problem)
+
+    monkeypatch.setattr(energy_module, "hs_quadratic_form", counted_form)
+    monkeypatch.setattr(solver, "nehari_project", counted_project)
+    prob = constant_problem(dim=3, n=16, s=0.8, nl_kind="pure_power", p=4.0)
+    rep = solve_ground_state(prob)
+    assert rep.converged and rep.iterations > 0
+    assert len(transforms) <= 4 * rep.iterations + 6
+    assert len(forms) == 2 * len(projections)
+
+
+@pytest.mark.parametrize("clip", [True, False])
+def test_unclipped_trial_carries_its_transform(clip):
+    # state - eta * gradient carries the state's spectrum minus eta times
+    # the gradient's while the clip leaves it unchanged; a clipped trial
+    # carries none and takes its own transform when one is asked for
+    prob = constant_problem(s=0.8)
+    state = smooth_pair(prob, 1)
+    grad = solver.gradient(state, prob, preconditioned=True)
+
+    def carries_its_transform(trial):
+        fresh = np.fft.rfftn(trial.values)
+        return (
+            "spectrum" in trial.__dict__
+            and np.max(np.abs(trial.spectrum - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+        )
+
+    short = solver._trial(state.u, grad.u, 1e-3, clip)
+    assert short.values.min() > 0.0
+    assert np.array_equal(short.values, state.u.values - 1e-3 * grad.u.values)
+    assert carries_its_transform(short)
+    long = solver._trial(state.u, grad.u, 1e3, clip)
+    if clip:
+        assert long.values.min() == 0.0
+        assert "spectrum" not in long.__dict__
+    else:
+        assert long.values.min() < 0.0
+        assert carries_its_transform(long)
 
 
 # ---------------------------------------------------------------------------
