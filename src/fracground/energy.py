@@ -13,16 +13,23 @@ form.  Its derivative pairs a test pair (phi, psi) with
 nehari_value(u, v) = <I'(u,v), (u,v)> is the constraint whose zero set is
 the natural manifold for ground-state minimization; it also equals the
 derivative of t -> I(t u, t v) at t = 1.
+
+A pair is held as one stacked (2, *grid.shape) array, so each pass over it
+covers both components in one call: one transform each way over the grid
+axes, one dot product per inner product (batched over the rows where
+EnergyBreakdown needs each component's part), and one evaluation of f, F
+or dnq per distinct nonlinearity (ProblemSpec._nonlinearity).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import Field, GridMismatch, _with_spectrum, hs_quadratic_form
+from .grid import Field, GridMismatch, _with_spectrum
 from .model import ProblemSpec
 
 __all__ = [
@@ -40,39 +47,87 @@ __all__ = [
 DEFAULT_NEHARI_TOL = 1.0e-10
 
 
-@dataclass(frozen=True)
 class StatePair:
-    """A candidate pair (u, v) on a common grid.  The pair keeps the
-    quadratic parts of the last problem they were computed for (see
-    ``_quadratic_parts``)."""
+    """A candidate pair (u, v) on a common grid, held as one read-only,
+    C-contiguous array ``values`` of shape (2, *grid.shape) whose rows are
+    u and v.
 
-    u: Field
-    v: Field
+    ``u`` and ``v`` are Fields that view those rows.  The pair's transform
+    ``spectrum``, shape (2, *half spectrum), is one ``rfftn`` over the grid
+    axes, taken on first use or carried from the pairs this one was formed
+    from (``scaled``, ``_stacked``), and then equal to it up to rounding.
+    The pair keeps the quadratic parts of the last problem they were
+    computed for (see ``_quadratic_parts``).
+    """
 
-    def __post_init__(self):
-        if self.u.grid != self.v.grid:
+    def __init__(self, u: Field, v: Field):
+        if u.grid != v.grid:
             raise GridMismatch("u and v live on different grids")
+        self.grid = u.grid
+        values = np.stack((u.values, v.values))
+        values.flags.writeable = False
+        self.values = values
+        # the given fields stand for the rows they equal
+        self.__dict__.update(u=u, v=v)
+        if "spectrum" in u.__dict__ and "spectrum" in v.__dict__:
+            self.__dict__["spectrum"] = np.stack((u.spectrum, v.spectrum))
 
-    @property
-    def grid(self):
-        return self.u.grid
+    @classmethod
+    def _stacked(cls, grid, values: np.ndarray, spectrum=None) -> "StatePair":
+        """The pair whose rows are the C-contiguous (2, *grid.shape) array
+        ``values``, which the caller hands over; a ``spectrum`` formed from
+        spectra the caller holds is carried as its transform and must equal
+        ``rfftn`` of the values up to rounding."""
+        if values.shape != (2,) + grid.shape:
+            raise GridMismatch(f"pair shape {values.shape} does not match grid shape {grid.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("field contains non-finite values")
+        values.flags.writeable = False
+        out = cls.__new__(cls)
+        out.grid, out.values = grid, values
+        if spectrum is not None:
+            out.__dict__["spectrum"] = spectrum
+        return out
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """``rfftn`` of both rows, one call over the last grid.dim axes."""
+        return sfft.rfftn(self.values, s=self.grid.shape)
+
+    def _row(self, i: int) -> Field:
+        if "spectrum" in self.__dict__:
+            return _with_spectrum(self.grid, self.values[i], self.spectrum[i])
+        return Field(self.grid, self.values[i])
+
+    @cached_property
+    def u(self) -> Field:
+        return self._row(0)
+
+    @cached_property
+    def v(self) -> Field:
+        return self._row(1)
+
+    def _positive(self) -> tuple:
+        """(x, k): the positive entries of ``values`` in row-major order, one
+        gather over both rows, of which the first k are u's.  Taken afresh on
+        each call, so no pair keeps a copy of its entries alive."""
+        mask = self.values > 0.0
+        return self.values[mask], int(np.count_nonzero(mask[0]))
 
     def scaled(self, t: float) -> "StatePair":
-        """t times the pair; spectra already taken are scaled along by t and
-        quadratic parts already computed by t^2, so the scaled pair's
-        quadratic form costs no transform, and known parts are not computed
-        again."""
-        out = StatePair(self.u.scaled(t), self.v.scaled(t))
+        """t times the pair; a spectrum already taken or carried is scaled
+        along by t and quadratic parts already computed by t^2, so the
+        scaled pair's quadratic form costs no transform, and known parts
+        are not computed again."""
+        spectrum = t * self.spectrum if "spectrum" in self.__dict__ else None
+        out = StatePair._stacked(self.grid, t * self.values, spectrum)
         if "_quad" in self.__dict__:
             problem, parts = self._quad
             out.__dict__["_quad"] = (problem, tuple(t * t * q for q in parts))
         return out
 
     def has_positive_part(self) -> bool:
-        return bool(
-            np.max(self.u.values, initial=-np.inf) > 0.0
-            or np.max(self.v.values, initial=-np.inf) > 0.0
-        )
+        return bool(np.max(self.values) > 0.0)
 
 
 @dataclass(frozen=True)
@@ -93,33 +148,50 @@ def _check_state(state: StatePair, problem: ProblemSpec) -> None:
 
 
 def _quadratic_parts(state: StatePair, problem: ProblemSpec) -> tuple:
-    """(Q1(u), Q2(v), 2 int lambda u v), computed once per pair and problem.
+    """(Q1(u), Q2(v), 2 int lambda u v), computed once per pair and problem
+    (``_quadratic_pass``).
 
     The parts are kept on the pair for the problem (by identity) they were
     computed for; another problem, such as ``with_coupling_scale`` of it,
-    computes its own.  Q1 and Q2 read the components' spectra, so only a
-    component whose transform was neither taken nor carried costs one here.
+    computes its own.
     """
     cached = state.__dict__.get("_quad")
     if cached is not None and cached[0] is problem:
         return cached[1]
-    dV = problem.grid.cell_volume
-    u, v = state.u.values, state.v.values
-    parts = (
-        hs_quadratic_form(state.u, problem.s1, problem.V1_field),
-        hs_quadratic_form(state.v, problem.s2, problem.V2_field),
-        2.0 * dV * float(np.vdot(problem.coupling_field.values, u * v)),
-    )
+    parts = _quadratic_pass(state, problem)
     state.__dict__["_quad"] = (problem, parts)
     return parts
 
 
+def _quadratic_pass(state: StatePair, problem: ProblemSpec) -> tuple:
+    """One pass over the pair for its quadratic parts.  The kinetic terms are
+    one batched dot product of the squared real and imaginary parts of its
+    spectrum (taken or carried; only a pair whose transform is neither costs
+    one here) with the problem's Parseval weights, the potential terms one
+    of V with the squared values, each row's as ``hs_quadratic_form``
+    computes it; the coupling term is one dot product."""
+    dV = problem.grid.cell_volume
+    w = state.values
+    x = state.spectrum.view(np.float64).reshape(2, -1)
+    kinetic = _row_dots(problem._parseval_weights, x * x)
+    potential = _row_dots(problem._potentials.reshape(2, -1), (w * w).reshape(2, -1))
+    return (
+        dV * float(kinetic[0] + potential[0]),
+        dV * float(kinetic[1] + potential[1]),
+        2.0 * dV * float(np.vdot(problem.coupling_field.values, w[0] * w[1])),
+    )
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b, both of
+    shape (2, m): one batched matrix product, equal to np.vdot row by row."""
+    return np.matmul(a[:, None, :], b[:, :, None]).ravel()
+
+
 def _nonlinear_pairing(state: StatePair, problem: ProblemSpec) -> float:
     """int f1(u) u + f2(v) v."""
-    u, v = state.u.values, state.v.values
-    return problem.grid.cell_volume * float(
-        np.sum(problem.nl1.f(u) * u) + np.sum(problem.nl2.f(v) * v)
-    )
+    w = state.values
+    return problem.grid.cell_volume * float(np.vdot(problem._nonlinearity("f", w, 1), w))
 
 
 def energy(state: StatePair, problem: ProblemSpec) -> EnergyBreakdown:
@@ -128,9 +200,10 @@ def energy(state: StatePair, problem: ProblemSpec) -> EnergyBreakdown:
     dV = problem.grid.cell_volume
     quad_u, quad_v, coupling_term = _quadratic_parts(state, problem)
     # F vanishes on t <= 0, so only the positive entries are evaluated
-    u, v = state.u.values, state.v.values
-    F1_integral = dV * float(np.sum(problem.nl1.F(u[u > 0.0])))
-    F2_integral = dV * float(np.sum(problem.nl2.F(v[v > 0.0])))
+    x, k = state._positive()
+    Fx = problem._nonlinearity("F", x, k)
+    F1_integral = dV * float(Fx[:k].sum())
+    F2_integral = dV * float(Fx[k:].sum())
     total = 0.5 * (quad_u + quad_v - coupling_term) - F1_integral - F2_integral
     return EnergyBreakdown(quad_u, quad_v, coupling_term, F1_integral, F2_integral, total)
 
@@ -156,42 +229,43 @@ def gradient(
     block [[|xi|^(2 s1) + mean(V1), -mean(lambda)], [-mean(lambda),
     |xi|^(2 s2) + mean(V2)]]: both components' residual spectra are formed
     first and then mixed by the problem's three cached arrays
-    (ProblemSpec._preconditioner) before the inverse transforms.  The block
+    (ProblemSpec._preconditioner) before the inverse transform.  The block
     is positive definite, so the stationary points are unchanged; it tames
     the stiffness of the fractional operators and, for constant weights,
-    inverts the linear part exactly, coupling included.  Beyond the
-    component's spectrum a preconditioned component costs two transforms,
-    a plain one one.  Each preconditioned output Field carries the mixed
-    half spectrum it was transformed back from, so a step along it forms
-    its trial's spectrum without a transform (see solver._descend).
+    inverts the linear part exactly, coupling included.  Beyond the pair's
+    spectrum the preconditioned gradient costs two transforms, one each
+    way over both components, and the plain one one.  The preconditioned
+    pair carries the mixed half spectra it was transformed back from, so a
+    step along it forms its trial's spectrum without a transform (see
+    solver._descend).
     """
     _check_state(state, problem)
     g = problem.grid
+    w = state.values
     lam = problem.coupling_field.values
-    parts = []
-    for w, other, s, V, nl in (
-        (state.u, state.v.values, problem.s1, problem.V1_field, problem.nl1),
-        (state.v, state.u.values, problem.s2, problem.V2_field, problem.nl2),
-    ):
-        sym = g.symbol(s)
-        local = V.values * w.values - nl.f(w.values) - lam * other
-        if preconditioned:
-            parts.append(sym * w.spectrum + sfft.rfftn(local))
-        else:
-            parts.append(sfft.irfftn(sym * w.spectrum, s=g.shape) + local)
-    if preconditioned:
-        r1, r2 = parts
-        p11, p12, p22 = problem._preconditioner
-        mixed = (p11 * r1 + p12 * r2, p12 * r1 + p22 * r2)
-        return StatePair(
-            *(_with_spectrum(g, sfft.irfftn(m, s=g.shape), m) for m in mixed)
-        )
-    return StatePair(Field(g, parts[0]), Field(g, parts[1]))
+    local = problem._potentials * w
+    term = problem._nonlinearity("f", w, 1)
+    local -= term
+    local -= np.multiply(lam, w[::-1], out=term)  # lambda times the other row
+    del term
+    r = problem._symbols * state.spectrum
+    if not preconditioned:
+        plain = sfft.irfftn(r, s=g.shape)
+        plain += local
+        return StatePair._stacked(g, plain)
+    r += sfft.rfftn(local, s=g.shape)
+    del local
+    p11, p12, p22 = problem._preconditioner
+    # mixed in place: (p11 r0 + p12 r1, p12 r0 + p22 r1)
+    cross = p12 * r[1]
+    r[1] *= p22
+    r[1] += p12 * r[0]
+    r[0] *= p11
+    r[0] += cross
+    return StatePair._stacked(g, sfft.irfftn(r, s=g.shape), r)
 
 
 def l2_norm_pair(state: StatePair) -> float:
     """L^2 x L^2 norm of the pair."""
-    dV = state.grid.cell_volume
-    return float(
-        np.sqrt(dV * (np.sum(state.u.values**2) + np.sum(state.v.values**2)))
-    )
+    w = state.values
+    return float(np.sqrt(state.grid.cell_volume * np.vdot(w, w)))

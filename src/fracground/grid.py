@@ -179,8 +179,8 @@ class Field:
     are read-only, never written after construction, so their transform
     ``spectrum`` is taken at most once, on first use, and kept.  A field
     built from others may instead carry a spectrum formed from theirs
-    (``scaled``, ``_with_spectrum``); it equals ``rfftn`` of the values up
-    to rounding."""
+    (``_with_spectrum``); it equals ``rfftn`` of the values up to
+    rounding."""
 
     grid: Grid
     values: np.ndarray
@@ -207,13 +207,6 @@ class Field:
         taken on first use, or carried from the fields this one was formed
         from, and then equal to it up to rounding."""
         return sfft.rfftn(self.values)
-
-    def scaled(self, t: float) -> "Field":
-        """t times the field; a spectrum already taken or carried is scaled
-        along."""
-        if "spectrum" in self.__dict__:
-            return _with_spectrum(self.grid, t * self.values, t * self.spectrum)
-        return Field(self.grid, t * self.values)
 
 
 def _with_spectrum(grid: Grid, values: np.ndarray, spectrum: np.ndarray) -> Field:

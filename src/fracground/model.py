@@ -246,7 +246,9 @@ class NonlinearitySpec:
         if self.kind == "pure_power":
             out = _power(pos, self.p - 1.0)
         else:
-            out = pos * np.log1p(pos) ** self.gamma
+            out = np.log1p(pos)
+            out **= self.gamma
+            out *= pos
         return out if out.ndim else float(out)
 
     def dnq(self, t):
@@ -259,9 +261,11 @@ class NonlinearitySpec:
         t = np.asarray(t, dtype=np.float64)
         pos = np.maximum(t, 0.0)
         if self.kind == "pure_power":
-            out = (self.p - 2.0) * _power(pos, self.p - 1.0)
+            out = _power(pos, self.p - 1.0)
+            out *= self.p - 2.0
         else:
-            out = pos * (pos / (1.0 + pos))
+            out = pos / (1.0 + pos)
+            out *= pos
             if self.gamma != 1.0:
                 out = out * (self.gamma * np.log1p(pos) ** (self.gamma - 1.0))
         return out if out.ndim else float(out)
@@ -271,7 +275,8 @@ class NonlinearitySpec:
         t = np.asarray(t, dtype=np.float64)
         pos = np.maximum(t, 0.0)
         if self.kind == "pure_power":
-            out = _power(pos, self.p) / self.p
+            out = _power(pos, self.p)
+            out /= self.p
         else:
             out = _log_power_integral(pos, self.gamma, 1.0)
         return out if out.ndim else float(out)
@@ -287,7 +292,8 @@ class NonlinearitySpec:
         t = np.asarray(t, dtype=np.float64)
         pos = np.maximum(t, 0.0)
         if self.kind == "pure_power":
-            out = (1.0 - 2.0 / self.p) * _power(pos, self.p)
+            out = _power(pos, self.p)
+            out *= 1.0 - 2.0 / self.p
         else:
             out = self.gamma * _log_power_integral(pos, self.gamma, 2.0)
         return out if out.ndim else float(out)
@@ -298,20 +304,28 @@ _WHOLE_POWER_MAX = 8
 
 
 def _power(x: np.ndarray, k: float) -> np.ndarray:
-    """x**k for x >= 0.  A whole k in [2, _WHOLE_POWER_MAX] is taken by
-    repeated squaring, in at most four products that together cost about a
-    third of ``**``; the relative error is at most (k - 1) / 2 ulp.  Every
-    other k takes ``**``."""
+    """x**k for x >= 0.  x must be the caller's own temporary: a whole k
+    overwrites it, and the result is often x itself.  A whole k in
+    [2, _WHOLE_POWER_MAX] is taken by repeated squaring, in at most four
+    products that together cost about a third of ``**`` and make at most
+    one more array of x's size; the relative error is at most (k - 1) / 2
+    ulp.  Every other k takes ``**``."""
     if not (k == int(k) and 2 <= k <= _WHOLE_POWER_MAX):
         return x**k
     n, square, out = int(k), x, None
     while True:
         if n & 1:
-            out = square if out is None else out * square
+            if out is None:
+                out = square
+            else:
+                out *= square
         n >>= 1
         if not n:
             return out
-        square = square * square
+        if square is out:
+            square = square * square
+        else:
+            square *= square
 
 
 def _log_power_integral(t: np.ndarray, gamma: float, c: float) -> np.ndarray:
@@ -328,13 +342,16 @@ def _log_power_integral(t: np.ndarray, gamma: float, c: float) -> np.ndarray:
       (_log_power_series).
 
     When every entry lies in the table's range, the usual case, the table
-    takes the whole array without masks.  Both paths agree with a
-    high-precision reference to within 1e-14 relative over t in
+    takes the whole array without masks; an empty array returns at once.
+    Both paths agree with a high-precision reference to within 1e-14
+    relative over t in
     [1e-10, 1e6] for gamma in {1, 1.5, 2, 2.7, 3}, and to within 1e-13 at
     t = 1e40 and 1e80, where the rounding of W dominates.  Non-finite t
     passes through (inf stays inf, nan stays nan).
     """
     W = np.asarray(np.log1p(t))
+    if not W.size:
+        return W
     b = gamma + 1.0 - c
     bound, coeffs = _series_table(b, c)
     if np.max(W, initial=0.0) <= bound:  # false on nan
@@ -436,8 +453,9 @@ class ProblemSpec:
     parts only.  Periodic weights must fit the grid (see _axis_periods) on
     construction.  Sampled weights, the hypothesis audit, the gradient's
     preconditioner (the per-mode inverse of the coupled linear part with
-    mean weights) and the coarse problem of a cold solve are derived once
-    and cached on the instance.
+    mean weights), the coarse problem of a cold solve and the per-component
+    inputs stacked along a first axis of length 2, as a StatePair holds its
+    components, are derived once and cached on the instance.
     """
 
     grid: Grid
@@ -496,6 +514,36 @@ class ProblemSpec:
                 f"delta_eff = {self.delta_eff:.6g})"
             )
         return b / det, lam / det, a / det
+
+    @cached_property
+    def _potentials(self) -> np.ndarray:
+        """(V1, V2) sampled, shape (2, *grid.shape)."""
+        return np.stack((self.V1_field.values, self.V2_field.values))
+
+    @cached_property
+    def _symbols(self) -> np.ndarray:
+        """(|xi|^(2 s1), |xi|^(2 s2)) on the half spectrum, shape (2, *half)."""
+        return np.stack((self.grid.symbol(self.s1), self.grid.symbol(self.s2)))
+
+    @cached_property
+    def _parseval_weights(self) -> np.ndarray:
+        """Grid.parseval_weight of s1 and of s2, one row each."""
+        g = self.grid
+        return np.stack((g.parseval_weight(self.s1), g.parseval_weight(self.s2)))
+
+    def _nonlinearity(self, name: str, x: np.ndarray, split: int) -> np.ndarray:
+        """The NonlinearitySpec method ``name`` ("f", "F" or "dnq") of each
+        component on x, whose entries before ``split`` along its first axis
+        are u's and the rest v's (the rows of a stacked pair, split = 1, or
+        a pair's gathered positive entries).  Nonlinearities are grouped by
+        equality, not identity: equal ones take one call over all of x,
+        others one call each."""
+        if self.nl1 == self.nl2:
+            return getattr(self.nl1, name)(x)
+        out = np.empty_like(x)
+        out[:split] = getattr(self.nl1, name)(x[:split])
+        out[split:] = getattr(self.nl2, name)(x[split:])
+        return out
 
     @cached_property
     def _coarse(self) -> "ProblemSpec":

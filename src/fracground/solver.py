@@ -12,16 +12,20 @@ slope int dnq(x) x / N; for log_power with gamma = 1 that closed form needs
 no logarithm.  A pure power takes a whole exponent up to 8 by
 multiplication.
 
-A trial costs no transform.  Each field keeps its Fourier transform
-(grid.Field.spectrum), and the preconditioned gradient's fields carry the
-half spectra they were transformed back from, so a trial component
-w - eta g that the positivity clip leaves unchanged carries w's spectrum
-minus eta times g's; only a clipped one takes its own.  The projection's
-Q (two Parseval dot products) is kept on the trial and carried times t^2
-onto the projected pair, whose energy reads it, and the projected pair
-carries t times the trial's spectra for its gradient.  An accepted step
-thus costs the 4 transforms of that gradient, and each projection 2
-quadratic forms.
+A pair is one stacked (2, *grid.shape) array (energy.StatePair), so each
+pass covers both components in one call: one transform each way, one
+evaluation of f or dnq per distinct nonlinearity, one dot product per
+inner product.
+A trial costs no transform.  Each pair keeps its Fourier transform
+(StatePair.spectrum), and the preconditioned gradient carries the half
+spectra it was transformed back from, so a trial state - eta grad carries
+the state's spectrum minus eta times the gradient's; only the rows the
+positivity clip changes take their own, in one call.  The projection's
+Q (one pass of batched Parseval dot products) is kept on the trial and
+carried times t^2 onto the projected pair, whose energy reads it, and the
+projected pair carries t times the trial's spectrum for its gradient.  An
+accepted step thus costs the 2 transforms of that gradient, and each
+projection 1 quadratic-form pass.
 
 The outer iteration steps against the preconditioned gradient, projects
 the trial pair and accepts it once its energy is strictly lower,
@@ -63,12 +67,13 @@ from .energy import (
     EnergyBreakdown,
     StatePair,
     _nonlinear_pairing,
+    _quadratic_parts,
     coupled_quadratic,
     energy,
     gradient,
     l2_norm_pair,
 )
-from .grid import Field, Grid, _RuleError, _with_spectrum, hs_quadratic_form
+from .grid import Field, Grid, _RuleError
 from .model import ProblemSpec, ValidationFailed, gaussian_bump, validate_assumptions
 
 __all__ = [
@@ -233,7 +238,9 @@ def nehari_project(state: StatePair, problem: ProblemSpec) -> tuple:
 def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
     """The root t of N(t)/t^2 = Q for a pair with a positive part and Q > 0.
 
-    f vanishes on t <= 0, so only positive samples enter N.  Newton works on
+    f vanishes on t <= 0, so only positive samples enter N: the pair's
+    gathered positive entries, on which each evaluation takes f and dnq once
+    per distinct nonlinearity (ProblemSpec._nonlinearity).  Newton works on
     h(ln t) = ln(N(t) / (t^2 Q)), whose slope is
     t^3 (N/t^2)' / N = int dnq(x) x / int f(x) x  over x = t u, t v, with
     dnq(x) = f'(x) x - f(x) (NonlinearitySpec.dnq):
@@ -243,17 +250,18 @@ def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
     unevaluated end of the range, or bisects ln t once both ends are known.
     """
     dV = problem.grid.cell_volume
-    parts = [
-        (nl, vals[vals > 0.0])
-        for nl, vals in ((problem.nl1, state.u.values), (problem.nl2, state.v.values))
-    ]
-    parts = [(nl, x) for nl, x in parts if x.size]
-    exponents = {nl.p if nl.kind == "pure_power" else None for nl, _ in parts}
+    x, k = state._positive()
+    present = [nl for nl, size in ((problem.nl1, k), (problem.nl2, x.size - k)) if size]
+    exponents = {nl.p if nl.kind == "pure_power" else None for nl in present}
+
+    def pairing(name: str, y: np.ndarray) -> float:
+        # int nl(y) y over both components, one dot product
+        return float(np.vdot(problem._nonlinearity(name, y, k), y))
 
     if len(exponents) == 1 and None not in exponents:
         p = exponents.pop()
         with np.errstate(over="ignore"):
-            S = dV * sum(float(np.sum(nl.f(x) * x)) for nl, x in parts)
+            S = dV * pairing("f", x)
         # S underflows to 0 (or overflows) only far outside the range; the
         # range is checked on ln t, since t itself may lie beyond the floats
         ratio = Q / S if S > 0.0 else np.inf
@@ -267,12 +275,10 @@ def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
     def log_ratio(t: float) -> tuple:
         # h = ln(N(t) / (t^2 Q)) and its slope in ln t; the slope is nan
         # where N underflows or overflows and h is -inf or +inf
-        N = D = 0.0
+        y = t * x
         with np.errstate(over="ignore", invalid="ignore"):
-            for nl, x in parts:
-                y = t * x
-                N += float(np.sum(nl.f(y) * y))
-                D += float(np.sum(nl.dnq(y) * y))
+            N = pairing("f", y)
+            D = pairing("dnq", y)
         ratio = dV * N / Q / t / t
         if ratio == 0.0 or ratio == np.inf:
             return (-np.inf if ratio == 0.0 else np.inf), np.nan
@@ -294,7 +300,7 @@ def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
                 raise BracketFailure(_NO_ROOT_ABOVE)
             hi, hi_known = t, True
         step = -h / slope if 0.0 < slope < np.inf else np.nan
-        t_new = t * np.exp(np.clip(step, -200.0, 200.0))
+        t_new = t * np.exp(min(max(step, -200.0), 200.0))  # nan stays nan
         if abs(t_new - t) <= _NEWTON_RELSTEP * t:
             # at the root the bracket may have shrunk below this step
             return float(t_new)
@@ -396,12 +402,10 @@ def _cold_solve(problem: ProblemSpec, opts: SolverOptions, start, finish) -> Sol
     coarse_problem = problem._coarse
     coarse = _descend(coarse_problem, start(coarse_problem, rng), opts, opts.max_iters - 2)
 
-    def lift(u: Field) -> Field:
-        values = _prolong(u, g)
-        return Field(g, np.maximum(values, 0.0) if opts.positivity_clip else values)
-
-    state = coarse.state
-    fine = finish(StatePair(lift(state.u), lift(state.v)), opts.max_iters - coarse.iterations - 1)
+    values = _prolong(coarse.state, g)
+    if opts.positivity_clip:
+        np.maximum(values, 0.0, out=values)
+    fine = finish(StatePair._stacked(g, values), opts.max_iters - coarse.iterations - 1)
     return dataclasses.replace(
         fine,
         iterations=coarse.iterations + 1 + fine.iterations,
@@ -410,9 +414,10 @@ def _cold_solve(problem: ProblemSpec, opts: SolverOptions, start, finish) -> Sol
     )
 
 
-def _prolong(u: Field, grid: Grid) -> np.ndarray:
-    """The trigonometric interpolant of a coarse field sampled on ``grid``,
-    which has twice as many points per axis on the same box.
+def _prolong(coarse: Field | StatePair, grid: Grid) -> np.ndarray:
+    """The trigonometric interpolant of a coarse field, or of both rows of
+    a coarse pair at once, sampled on ``grid``, which has twice as many
+    points per axis on the same box.
 
     The coarse half spectrum is zero-padded and scaled by the ratio of the
     point counts.  Each coarse Nyquist coefficient is split evenly between
@@ -420,11 +425,12 @@ def _prolong(u: Field, grid: Grid) -> np.ndarray:
     conjugate partner that irfftn supplies), so the interpolant takes the
     coarse samples exactly at the shared points and keeps the mean.
     """
-    nc, n, dim = u.grid.n_per_axis, grid.n_per_axis, grid.dim
+    nc, n, dim = coarse.grid.n_per_axis, grid.n_per_axis, grid.dim
     h = nc // 2
-    spec = u.spectrum
-    for axis in range(dim):
-        last = axis == dim - 1
+    spec = coarse.spectrum
+    # the grid axes are the last dim ones, after a pair's axis of rows
+    for axis in range(spec.ndim - dim, spec.ndim):
+        last = axis == spec.ndim - 1
         src = np.moveaxis(spec, axis, 0)
         out = np.zeros((n // 2 + 1 if last else n,) + src.shape[1:], dtype=complex)
         out[:h] = src[:h]
@@ -449,6 +455,8 @@ def _descend(
     parts = energy(state, problem)
     E = parts.total
     grad = gradient(state, problem, preconditioned=True)
+    # s and y of the Barzilai-Borwein step, written in place each iteration
+    steps = np.empty((2,) + state.values.shape)
     last_decrease = np.inf
     eta0 = opts.step_init
     converged = False
@@ -465,10 +473,7 @@ def _descend(
         accepted = False
         cand_grad = None
         while eta >= _STEP_FLOOR * eta0:
-            pair = StatePair(
-                _trial(state.u, grad.u, eta, opts.positivity_clip),
-                _trial(state.v, grad.v, eta, opts.positivity_clip),
-            )
+            pair = _trial(state, grad, eta, opts.positivity_clip)
             try:
                 t0, cand = nehari_project(pair, problem)
             except (NotInEPlus, BracketFailure):
@@ -501,11 +506,9 @@ def _descend(
         last_decrease = (E - Ec) / max(abs(E), abs(Ec), 1.0e-300)
         if cand_grad is None:
             cand_grad = gradient(cand, problem, preconditioned=True)
-        eta0 = _bb_step(
-            [cand.u.values - state.u.values, cand.v.values - state.v.values],
-            [cand_grad.u.values - grad.u.values, cand_grad.v.values - grad.v.values],
-            opts.step_init,
-        )
+        np.subtract(cand.values, state.values, out=steps[0])
+        np.subtract(cand_grad.values, grad.values, out=steps[1])
+        eta0 = _bb_step(steps[0], steps[1], opts.step_init)
         state, parts, E, grad = cand, trial, Ec, cand_grad
         iterations += 1
         t_history.append(t0)
@@ -513,14 +516,21 @@ def _descend(
     return _finish_report(state, parts, grad, problem, iterations, converged, stalled, t_history)
 
 
-def _trial(w: Field, g: Field, eta: float, clip: bool) -> Field:
-    """The trial component w - eta g, clipped at 0 under ``clip``.  When
-    the clip leaves it unchanged it carries w's spectrum minus eta times
-    g's (the gradient's own, carried), so it takes no transform."""
-    values = w.values - eta * g.values
-    if clip and values.min() < 0.0:
-        return Field(w.grid, np.maximum(values, 0.0))
-    return _with_spectrum(w.grid, values, w.spectrum - eta * g.spectrum)
+def _trial(state: StatePair, grad: StatePair, eta: float, clip: bool) -> StatePair:
+    """The trial pair state - eta grad, clipped at 0 under ``clip``.  It
+    carries the state's spectrum minus eta times the gradient's (the
+    gradient's own, carried), so a trial the clip leaves unchanged takes no
+    transform; the rows the clip changes take theirs, in one call."""
+    values = eta * grad.values
+    np.subtract(state.values, values, out=values)
+    spectrum = eta * grad.spectrum
+    np.subtract(state.spectrum, spectrum, out=spectrum)
+    if clip:
+        clipped = np.flatnonzero(values.reshape(2, -1).min(axis=1) < 0.0)
+        if clipped.size:
+            np.maximum(values, 0.0, out=values)
+            spectrum[clipped] = sfft.rfftn(values[clipped], s=state.grid.shape)
+    return StatePair._stacked(state.grid, values, spectrum)
 
 
 def _residual(grad: StatePair, state: StatePair) -> float:
@@ -528,14 +538,15 @@ def _residual(grad: StatePair, state: StatePair) -> float:
     return l2_norm_pair(grad) / l2_norm_pair(state)
 
 
-def _bb_step(s: list, y: list, step_init: float) -> float:
+def _bb_step(s: np.ndarray, y: np.ndarray, step_init: float) -> float:
     """First trial step of the next line search: the short Barzilai-Borwein
     step <s,y>/<y,y>, with s the change of the accepted pair and y that of
-    its preconditioned gradient (one array per component, inner products
-    summed over both), kept within [_BB_MIN, _BB_MAX] * step_init.  Without
-    positive curvature along s (<s,y> <= 0 or y = 0) it is step_init."""
-    sy = sum(float(np.vdot(a, b)) for a, b in zip(s, y))
-    yy = sum(float(np.vdot(b, b)) for b in y)
+    its preconditioned gradient (stacked (2, ...) arrays, so the inner
+    products run over both components), kept within
+    [_BB_MIN, _BB_MAX] * step_init.  Without positive curvature along s
+    (<s,y> <= 0 or y = 0) it is step_init."""
+    sy = float(np.vdot(s, y))
+    yy = float(np.vdot(y, y))
     if not (sy > 0.0 and yy > 0.0):
         return step_init
     return min(max(sy / yy, _BB_MIN * step_init), _BB_MAX * step_init)
@@ -672,10 +683,8 @@ def mountain_pass_diagnostics(
         du = _smooth_random_field(g, rng)
         dv = _smooth_random_field(g, rng)
         pair = StatePair(Field(g, du), Field(g, dv))
-        norm = np.sqrt(
-            hs_quadratic_form(pair.u, problem.s1, problem.V1_field)
-            + hs_quadratic_form(pair.v, problem.s2, problem.V2_field)
-        )
+        quad_u, quad_v, _ = _quadratic_parts(pair, problem)
+        norm = np.sqrt(quad_u + quad_v)
         directions.append(pair.scaled(1.0 / norm))
 
     radii = np.geomspace(1.0e-4, 1.0, 9)

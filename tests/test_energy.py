@@ -19,6 +19,7 @@ from fracground import (
     gradient,
     l2_norm_pair,
     make_grid,
+    nehari_project,
     nehari_value,
     validate_assumptions,
 )
@@ -523,27 +524,172 @@ def test_preconditioned_gradient_carries_its_transform(dim, n):
 def test_quadratic_parts_are_kept_for_their_own_problem(monkeypatch):
     # a pair keeps the parts of the problem (by identity) they were computed
     # for and carries them through scaled(); another problem, even one
-    # derived from it, computes its own
+    # derived from it, computes its own, in one pass over both components
     energy_module = sys.modules["fracground.energy"]
     calls = []
-    form = energy_module.hs_quadratic_form
+    quadratic_pass = energy_module._quadratic_pass
 
-    def counted(u, s, V):
+    def counted(state, problem):
         calls.append(1)
-        return form(u, s, V)
+        return quadratic_pass(state, problem)
 
-    monkeypatch.setattr(energy_module, "hs_quadratic_form", counted)
+    monkeypatch.setattr(energy_module, "_quadratic_pass", counted)
     prob = constant_problem()
     state = smooth_pair(prob, 0)
     Q = coupled_quadratic(state, prob)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert coupled_quadratic(state.scaled(3.0), prob) == pytest.approx(9.0 * Q, rel=1e-15)
-    assert len(calls) == 2
+    assert len(calls) == 1
     other = prob.with_coupling_scale(0.0)
     scaled = state.scaled(3.0)
     Q_other = coupled_quadratic(scaled, other)
-    assert len(calls) == 4
+    assert len(calls) == 2
     g = prob.grid
     fresh = StatePair(Field(g, scaled.u.values), Field(g, scaled.v.values))
     assert Q_other == pytest.approx(coupled_quadratic(fresh, other), rel=1e-14)
     assert Q_other > 9.0 * Q
+
+
+# ---------------------------------------------------------------------------
+# the stacked pair against a per-component reference
+
+
+def _per_component_reference(state, prob):
+    """Energy terms, both gradients and the ray scale of a pair, built one
+    component at a time from hs_quadratic_form, the NonlinearitySpec
+    methods and numpy's transform of each field."""
+    from scipy.optimize import brentq
+
+    from fracground import hs_quadratic_form
+
+    g, dV = prob.grid, prob.grid.cell_volume
+    u, v = np.array(state.u.values), np.array(state.v.values)
+    lam = prob.coupling_field.values
+    quad_u = hs_quadratic_form(Field(g, u), prob.s1, prob.V1_field)
+    quad_v = hs_quadratic_form(Field(g, v), prob.s2, prob.V2_field)
+    coupling_term = 2.0 * dV * float(np.sum(lam * u * v))
+    F1 = dV * float(np.sum(prob.nl1.F(u)))
+    F2 = dV * float(np.sum(prob.nl2.F(v)))
+    breakdown = {
+        "quad_u": quad_u,
+        "quad_v": quad_v,
+        "coupling_term": coupling_term,
+        "F1_integral": F1,
+        "F2_integral": F2,
+        "total": 0.5 * (quad_u + quad_v - coupling_term) - F1 - F2,
+    }
+
+    axes = tuple(range(g.dim))
+    sym1, sym2 = g.symbol(prob.s1), g.symbol(prob.s2)
+    hat_u, hat_v = np.fft.rfftn(u, axes=axes), np.fft.rfftn(v, axes=axes)
+    local_u = prob.V1_field.values * u - prob.nl1.f(u) - lam * v
+    local_v = prob.V2_field.values * v - prob.nl2.f(v) - lam * u
+
+    def back(spec):
+        return np.fft.irfftn(spec, s=g.shape, axes=axes)
+
+    plain = (back(sym1 * hat_u) + local_u, back(sym2 * hat_v) + local_v)
+    r1 = sym1 * hat_u + np.fft.rfftn(local_u, axes=axes)
+    r2 = sym2 * hat_v + np.fft.rfftn(local_v, axes=axes)
+    a = sym1 + prob.mean_potential(1)
+    b = sym2 + prob.mean_potential(2)
+    m = prob.mean_coupling()
+    det = a * b - m * m
+    pre = (back((b * r1 + m * r2) / det), back((m * r1 + a * r2) / det))
+
+    Q = quad_u + quad_v - coupling_term
+
+    def log_ratio(log_t):
+        t = np.exp(log_t)
+        N = np.sum(prob.nl1.f(t * u) * t * u) + np.sum(prob.nl2.f(t * v) * t * v)
+        return np.log(dV * N / (t * t * Q))
+
+    lo, hi = -1.0, 1.0
+    while log_ratio(lo) > 0.0:
+        lo *= 2.0
+    while log_ratio(hi) < 0.0:
+        hi *= 2.0
+    t = np.exp(brentq(log_ratio, lo, hi, xtol=1e-300, rtol=1e-15))
+    return breakdown, plain, pre, t
+
+
+def _parity_cases():
+    mixed = dataclasses.replace(
+        constant_problem(s=0.4),
+        s2=0.9,
+        nl1=NonlinearitySpec(kind="log_power", gamma=1.5),
+        nl2=NonlinearitySpec(kind="pure_power", p=3.0),
+    )
+    g = mixed.grid
+    positive = smooth_pair(mixed, 4)
+    zero = Field(g, np.zeros(g.shape))
+    return {
+        "mixed_positive": (mixed, positive),
+        "mixed_zero_partner": (mixed, StatePair(positive.u, zero)),
+        "mixed_sign_changing": (mixed, smooth_pair(mixed, 5, positive=False)),
+        "shared_sign_changing": (constant_problem(), smooth_pair(constant_problem(), 6, positive=False)),
+        "shared_zero_partner": (constant_problem(), StatePair(zero, smooth_pair(mixed, 7).v)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_parity_cases()))
+def test_stacked_pair_matches_a_per_component_reference(case):
+    # the stacked passes (one transform each way, one call of f, F or dnq
+    # per distinct nonlinearity, batched dot products) against each
+    # component computed alone: log_power gamma = 1.5 against pure_power
+    # p = 3 with s1 != s2, a zero partner, and sign-changing entries
+    prob, state = _parity_cases()[case]
+    breakdown, plain, pre, t_ref = _per_component_reference(state, prob)
+    parts = energy(state, prob)
+    scale = abs(breakdown["quad_u"]) + abs(breakdown["quad_v"])
+    for name, value in breakdown.items():
+        assert abs(getattr(parts, name) - value) <= 1e-13 * max(abs(value), scale), name
+    for got, want in ((gradient(state, prob), plain), (gradient(state, prob, True), pre)):
+        norm = max(np.max(np.abs(want[0])), np.max(np.abs(want[1])))
+        assert np.max(np.abs(got.u.values - want[0])) <= 1e-13 * norm
+        assert np.max(np.abs(got.v.values - want[1])) <= 1e-13 * norm
+    t, _ = nehari_project(state, prob)
+    assert abs(t - t_ref) <= 1e-13 * t_ref
+
+
+def test_equal_nonlinearities_share_one_evaluation_and_solve_alike(monkeypatch):
+    # nonlinearities are grouped by equality: a problem whose nl2 equals nl1
+    # but is a distinct object takes one call of f per pass and solves
+    # bitwise as the problem holding one object for both
+    from fracground import solve_ground_state
+
+    shared = constant_problem()
+    distinct = dataclasses.replace(shared, nl2=NonlinearitySpec(kind="log_power", gamma=1.0))
+    assert distinct.nl1 == distinct.nl2 and distinct.nl1 is not distinct.nl2
+    calls = []
+    f = NonlinearitySpec.f
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return f(self, t)
+
+    monkeypatch.setattr(NonlinearitySpec, "f", counted)
+    gradient(smooth_pair(distinct, 0), distinct)
+    assert calls == [(2,) + distinct.grid.shape]
+    monkeypatch.undo()
+    one, two = solve_ground_state(shared), solve_ground_state(distinct)
+    assert one.converged and two.iterations == one.iterations
+    assert two.level == one.level
+    assert np.array_equal(two.state.values, one.state.values)
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (64, 64), (128, 128), (32, 32, 32)])
+def test_pair_transform_equals_each_component_transform(shape):
+    # one rfftn over the grid axes of the stacked pair, and one irfftn back,
+    # give bitwise what each component's own transform gives
+    import scipy.fft
+
+    g = make_grid(len(shape), shape[0], 8.0)
+    rng = np.random.default_rng(len(shape) + shape[0])
+    state = StatePair(Field(g, rng.standard_normal(shape)), Field(g, rng.standard_normal(shape)))
+    spectrum = state.spectrum
+    assert spectrum.shape == (2,) + g.symbol(0.5).shape
+    back = scipy.fft.irfftn(spectrum, s=shape)
+    for i, w in enumerate((state.u, state.v)):
+        assert np.array_equal(spectrum[i], scipy.fft.rfftn(w.values))
+        assert np.array_equal(back[i], scipy.fft.irfftn(spectrum[i], s=shape))

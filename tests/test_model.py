@@ -580,6 +580,28 @@ def test_log_power_series_ends_on_overflow():
     assert F[0] == 0.0 and F[1] == 0.0 and F[2] == np.inf
 
 
+def test_log_power_integrals_return_at_once_on_empty_input(monkeypatch):
+    # a scalar solve's zero partner has no positive entries: F and nq of an
+    # empty array run no Horner step
+    from fracground import model
+
+    calls = []
+    table = model._log_power_table
+
+    def counted(*args):
+        calls.append(1)
+        return table(*args)
+
+    monkeypatch.setattr(model, "_log_power_table", counted)
+    nl = NonlinearitySpec(kind="log_power", gamma=1.5)
+    for evaluate in (nl.F, nl.nq):
+        out = evaluate(np.array([]))
+        assert out.shape == (0,)
+    assert calls == []
+    assert nl.F(np.array([0.5])) > 0.0
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("kind", ["constant", "periodic_trig", "periodic_plus_perturbation"])
 def test_perturbation_width_must_be_positive_for_every_kind(kind):
     with pytest.raises(ValueError, match="perturbation_width"):

@@ -156,24 +156,40 @@ def test_closed_form_projection_fails_typed_beyond_the_float_range(v, lam, end):
 def test_projection_newton_needs_few_evaluations(monkeypatch):
     # from the initial bump (t ~ 10) and along a solve (t ~ 1)
     prob = constant_problem()
-    evaluations = []
-    dnq = NonlinearitySpec.dnq
+    evaluations, f_calls = [], []
+    dnq, f = NonlinearitySpec.dnq, NonlinearitySpec.f
 
     def counted(self, t):
         evaluations[-1] += 1
         return dnq(self, t)
 
+    projecting = [False]
+
+    def counted_f(self, t):
+        if projecting[0]:
+            f_calls[-1] += 1
+        return f(self, t)
+
     project = solver.nehari_project
 
     def tally(*args, **kwargs):
         evaluations.append(0)
-        return project(*args, **kwargs)
+        f_calls.append(0)
+        projecting[0] = True
+        try:
+            return project(*args, **kwargs)
+        finally:
+            projecting[0] = False
 
     monkeypatch.setattr(NonlinearitySpec, "dnq", counted)
+    monkeypatch.setattr(NonlinearitySpec, "f", counted_f)
     monkeypatch.setattr(solver, "nehari_project", tally)
     rep = solve_ground_state(prob, opts=FAST)
     assert rep.converged
-    per_projection = np.array(evaluations) / 2  # one dnq call per component
+    # both components share the nonlinearity, so each evaluation takes one
+    # call of f and one of dnq
+    assert f_calls == evaluations
+    per_projection = np.array(evaluations)
     assert per_projection.min() >= 1
     assert per_projection.max() <= 8
     assert per_projection.mean() <= 4
@@ -326,69 +342,88 @@ def test_solve_takes_at_most_seven_transforms_per_iteration(monkeypatch):
     assert len(calls) <= 7 * rep.iterations + 6
 
 
-def test_solve_takes_four_transforms_per_iteration_and_two_forms_per_projection(
+def test_solve_takes_two_transforms_per_iteration_and_one_form_per_projection(
     monkeypatch,
 ):
     # a trial the clip leaves alone carries its spectrum from the state's
     # and the gradient's, and a projected pair carries its quadratic parts,
-    # so an accepted step costs the 4 transforms of the preconditioned
-    # gradient and a projection the 2 forms of its trial
+    # so an accepted step costs the 2 transforms of the preconditioned
+    # gradient (one each way over both components), a projection one
+    # quadratic-form pass over its trial, and an energy one call of F
     import scipy.fft
 
-    transforms, forms, projections = [], [], []
-    for name in ("rfftn", "irfftn"):
-        def counted(*args, _fn=getattr(scipy.fft, name), **kwargs):
-            transforms.append(1)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counted)
     energy_module = sys.modules["fracground.energy"]
-    form, project = energy_module.hs_quadratic_form, solver.nehari_project
+    counts = {"transform": 0, "pass": 0, "project": 0, "energy": 0, "F": 0}
 
-    def counted_form(*args):
-        forms.append(1)
-        return form(*args)
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
 
-    def counted_project(state, problem):
-        projections.append(1)
-        return project(state, problem)
+        return counted
 
-    monkeypatch.setattr(energy_module, "hs_quadratic_form", counted_form)
-    monkeypatch.setattr(solver, "nehari_project", counted_project)
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, counting("transform", getattr(scipy.fft, name)))
+    monkeypatch.setattr(
+        energy_module, "_quadratic_pass", counting("pass", energy_module._quadratic_pass)
+    )
+    monkeypatch.setattr(solver, "nehari_project", counting("project", solver.nehari_project))
+    monkeypatch.setattr(solver, "energy", counting("energy", solver.energy))
+    monkeypatch.setattr(NonlinearitySpec, "F", counting("F", NonlinearitySpec.F))
     prob = constant_problem(dim=3, n=16, s=0.8, nl_kind="pure_power", p=4.0)
     rep = solve_ground_state(prob)
     assert rep.converged and rep.iterations > 0
-    assert len(transforms) <= 4 * rep.iterations + 6
-    assert len(forms) == 2 * len(projections)
+    assert counts["transform"] <= 2 * rep.iterations + 3
+    assert counts["pass"] == counts["project"]
+    assert counts["F"] == counts["energy"]
 
 
 @pytest.mark.parametrize("clip", [True, False])
-def test_unclipped_trial_carries_its_transform(clip):
+def test_unclipped_trial_carries_its_transform(clip, monkeypatch):
     # state - eta * gradient carries the state's spectrum minus eta times
-    # the gradient's while the clip leaves it unchanged; a clipped trial
-    # carries none and takes its own transform when one is asked for
+    # the gradient's; the rows the clip changes take their own transform,
+    # in one call, and the others keep the carried one
+    import scipy.fft
+
     prob = constant_problem(s=0.8)
     state = smooth_pair(prob, 1)
     grad = solver.gradient(state, prob, preconditioned=True)
 
-    def carries_its_transform(trial):
-        fresh = np.fft.rfftn(trial.values)
-        return (
-            "spectrum" in trial.__dict__
-            and np.max(np.abs(trial.spectrum - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+    def carries_its_transform(trial, rows=(0, 1)):
+        fresh = np.fft.rfftn(trial.values, axes=(1, 2))
+        return "spectrum" in trial.__dict__ and all(
+            np.max(np.abs(trial.spectrum[i] - fresh[i])) <= 1e-13 * np.max(np.abs(fresh[i]))
+            for i in rows
         )
 
-    short = solver._trial(state.u, grad.u, 1e-3, clip)
+    short = solver._trial(state, grad, 1e-3, clip)
     assert short.values.min() > 0.0
-    assert np.array_equal(short.values, state.u.values - 1e-3 * grad.u.values)
+    assert np.array_equal(short.values, state.values - 1e-3 * grad.values)
     assert carries_its_transform(short)
-    long = solver._trial(state.u, grad.u, 1e3, clip)
+    # a step along v alone that turns v negative somewhere: the clip
+    # changes row 1 only
+    eta = 1e3
+    along_v = StatePair(Field(prob.grid, np.zeros(prob.grid.shape)), grad.v)
+    along_v.spectrum  # taken before the count starts
+    assert (state.values[1] - eta * grad.values[1]).min() < 0.0
+    transforms = []
+    rfftn = scipy.fft.rfftn
+
+    def counted(*args, **kwargs):
+        transforms.append(np.shape(args[0]))
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", counted)
+    one_row = solver._trial(state, along_v, eta, clip)
+    assert np.array_equal(one_row.values[0], state.values[0])
     if clip:
-        assert long.values.min() == 0.0
-        assert "spectrum" not in long.__dict__
+        assert one_row.values[1].min() == 0.0
+        assert transforms == [(1,) + prob.grid.shape]
+        assert np.array_equal(one_row.spectrum[1], np.fft.rfftn(one_row.values[1]))
     else:
-        assert long.values.min() < 0.0
-        assert carries_its_transform(long)
+        assert one_row.values[1].min() < 0.0
+        assert transforms == []
+    assert carries_its_transform(one_row)
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +563,23 @@ def test_warm_start_accepted():
 
 def test_bb_step_falls_back_and_clips():
     step = solver._bb_step
-    s = [np.array([1.0, 0.0]), np.array([0.5])]
+    # stacked (2, ...) arrays, one row per component
+    s = np.array([[1.0, 0.0], [0.5, 0.0]])
+
+    def y(*rows):
+        return np.array(rows)
+
     # no positive curvature along s, or no change of the gradient
-    assert step(s, [np.array([-1.0, 0.0]), np.array([0.0])], 0.7) == 0.7
-    assert step(s, [np.array([0.0, 3.0]), np.array([0.0])], 0.7) == 0.7
-    assert step(s, [np.zeros(2), np.zeros(1)], 0.7) == 0.7
+    assert step(s, y([-1.0, 0.0], [0.0, 0.0]), 0.7) == 0.7
+    assert step(s, y([0.0, 3.0], [0.0, 0.0]), 0.7) == 0.7
+    assert step(s, np.zeros((2, 2)), 0.7) == 0.7
     # inner products sum over both components: <s,y> = 1.5, <y,y> = 2
-    assert step(s, [np.array([1.0, 0.0]), np.array([1.0])], 1.0) == 0.75
-    assert step(s, [np.array([1.0, 0.0]), np.array([1.0])], 0.01) == 0.75
+    assert step(s, y([1.0, 0.0], [1.0, 0.0]), 1.0) == 0.75
+    assert step(s, y([1.0, 0.0], [1.0, 0.0]), 0.01) == 0.75
     # kept within [1e-3, 1e3] * step_init
-    assert step(s, [np.array([1e6, 0.0]), np.array([0.0])], 2.0) == 2.0e-3
-    assert step(s, [np.array([1e-6, 0.0]), np.array([0.0])], 2.0) == 2.0e3
-    assert step(s, [np.array([1.0, 0.0]), np.array([1.0])], 1e-4) == 0.1
+    assert step(s, y([1e6, 0.0], [0.0, 0.0]), 2.0) == 2.0e-3
+    assert step(s, y([1e-6, 0.0], [0.0, 0.0]), 2.0) == 2.0e3
+    assert step(s, y([1.0, 0.0], [1.0, 0.0]), 1e-4) == 0.1
 
 
 def test_bb_step_at_least_halves_the_outer_iterations():
