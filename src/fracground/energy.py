@@ -18,7 +18,9 @@ A pair is held as one stacked (2, *grid.shape) array, so each pass over it
 covers both components in one call: one transform each way over the grid
 axes, one dot product per inner product (batched over the rows where
 EnergyBreakdown needs each component's part), and one evaluation of f, F
-or dnq per distinct nonlinearity (ProblemSpec._nonlinearity).
+or dnq per distinct nonlinearity (ProblemSpec._nonlinearity).  The pair,
+not its rows, carries the transform.  A state's values are checked for
+finiteness once, as Fields where it enters, not on pairs formed from pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import Field, GridMismatch, _with_spectrum
+from .grid import Field, GridMismatch
 from .model import ProblemSpec
 
 __all__ = [
@@ -52,12 +54,14 @@ class StatePair:
     C-contiguous array ``values`` of shape (2, *grid.shape) whose rows are
     u and v.
 
-    ``u`` and ``v`` are Fields that view those rows.  The pair's transform
-    ``spectrum``, shape (2, *half spectrum), is one ``rfftn`` over the grid
-    axes, taken on first use or carried from the pairs this one was formed
-    from (``scaled``, ``_stacked``), and then equal to it up to rounding.
-    The pair keeps the quadratic parts of the last problem they were
-    computed for (see ``_quadratic_parts``).
+    ``StatePair(u, v)`` takes two Fields, which have checked their values
+    for finiteness.  ``u`` and ``v`` are Fields that view the rows.  The
+    pair's transform ``spectrum``, shape (2, *half spectrum), is one
+    ``rfftn`` over the grid axes, taken on first use or carried from the
+    pairs this one was formed from (``scaled``, ``_stacked``), and then
+    equal to it up to rounding; the rows carry none.  The pair keeps the
+    quadratic parts of the last problem they were computed for (see
+    ``_quadratic_parts``).
     """
 
     def __init__(self, u: Field, v: Field):
@@ -69,19 +73,17 @@ class StatePair:
         self.values = values
         # the given fields stand for the rows they equal
         self.__dict__.update(u=u, v=v)
-        if "spectrum" in u.__dict__ and "spectrum" in v.__dict__:
-            self.__dict__["spectrum"] = np.stack((u.spectrum, v.spectrum))
 
     @classmethod
     def _stacked(cls, grid, values: np.ndarray, spectrum=None) -> "StatePair":
         """The pair whose rows are the C-contiguous (2, *grid.shape) array
         ``values``, which the caller hands over; a ``spectrum`` formed from
         spectra the caller holds is carried as its transform and must equal
-        ``rfftn`` of the values up to rounding."""
+        ``rfftn`` of the values up to rounding.  The values are not checked
+        for finiteness: Field checks a state where it enters, and a trial
+        that overflows fails in solver.nehari_project (Q is not finite)."""
         if values.shape != (2,) + grid.shape:
             raise GridMismatch(f"pair shape {values.shape} does not match grid shape {grid.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("field contains non-finite values")
         values.flags.writeable = False
         out = cls.__new__(cls)
         out.grid, out.values = grid, values
@@ -94,18 +96,13 @@ class StatePair:
         """``rfftn`` of both rows, one call over the last grid.dim axes."""
         return sfft.rfftn(self.values, s=self.grid.shape)
 
-    def _row(self, i: int) -> Field:
-        if "spectrum" in self.__dict__:
-            return _with_spectrum(self.grid, self.values[i], self.spectrum[i])
-        return Field(self.grid, self.values[i])
-
     @cached_property
     def u(self) -> Field:
-        return self._row(0)
+        return Field(self.grid, self.values[0])
 
     @cached_property
     def v(self) -> Field:
-        return self._row(1)
+        return Field(self.grid, self.values[1])
 
     def _positive(self) -> tuple:
         """(x, k): the positive entries of ``values`` in row-major order, one

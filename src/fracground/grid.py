@@ -175,12 +175,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Real samples of a function on a grid, row-major layout.  The values
-    are read-only, never written after construction, so their transform
-    ``spectrum`` is taken at most once, on first use, and kept.  A field
-    built from others may instead carry a spectrum formed from theirs
-    (``_with_spectrum``); it equals ``rfftn`` of the values up to
-    rounding."""
+    """Real samples of a function on a grid, row-major layout.  Every value
+    must be finite: this is the one finiteness check, made where a state
+    enters (a pair's fields, a read file, sampled weights).  The values are
+    read-only, never written after construction, so their transform
+    ``spectrum`` is taken at most once, on first use, and kept."""
 
     grid: Grid
     values: np.ndarray
@@ -203,19 +202,9 @@ class Field:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """``rfftn`` of the values, the half spectrum of ``Grid.symbol``:
-        taken on first use, or carried from the fields this one was formed
-        from, and then equal to it up to rounding."""
+        """``rfftn`` of the values, the half spectrum of ``Grid.symbol``,
+        taken on first use."""
         return sfft.rfftn(self.values)
-
-
-def _with_spectrum(grid: Grid, values: np.ndarray, spectrum: np.ndarray) -> Field:
-    """A field that carries ``spectrum``, formed by the caller from spectra
-    it already holds, as its transform; it must equal ``rfftn(values)`` up
-    to rounding."""
-    out = Field(grid, values)
-    out.__dict__["spectrum"] = spectrum
-    return out
 
 
 def make_grid(dim: int, n_per_axis: int, box_length: float) -> Grid:
@@ -261,8 +250,8 @@ def hs_quadratic_form(u: Field, s: float, V: Field) -> float:
     """Quadratic form int |(-Lap)^(s/2) u|^2 + V u^2 dx, order s in (0, 1].
 
     The half-order term is the Parseval sum of |xi|^(2s) |u_hat|^2 /
-    npoints over the field's half spectrum (taken or carried, see
-    ``Field``), one dot product of the squared real and imaginary parts
+    npoints over the field's half spectrum (``Field.spectrum``, taken
+    once), one dot product of the squared real and imaginary parts
     with ``Grid.parseval_weight``, cached per grid and order.  The
     potential term is one dot product of V with u^2.  V is any sampled
     weight; positivity is checked elsewhere.

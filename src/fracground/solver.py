@@ -25,7 +25,9 @@ Q (one pass of batched Parseval dot products) is kept on the trial and
 carried times t^2 onto the projected pair, whose energy reads it, and the
 projected pair carries t times the trial's spectrum for its gradient.  An
 accepted step thus costs the 2 transforms of that gradient, and each
-projection 1 quadratic-form pass.
+projection 1 quadratic-form pass.  A state is checked for finite values
+once, where it enters; a trial that overflows has a non-finite Q, so its
+projection fails and the line search backtracks.
 
 The outer iteration steps against the preconditioned gradient, projects
 the trial pair and accepts it once its energy is strictly lower,
@@ -473,9 +475,12 @@ def _descend(
         accepted = False
         cand_grad = None
         while eta >= _STEP_FLOOR * eta0:
-            pair = _trial(state, grad, eta, opts.positivity_clip)
             try:
-                t0, cand = nehari_project(pair, problem)
+                # an overflowing trial has a non-finite Q, so its projection
+                # fails and the step shrinks, without a warning
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pair = _trial(state, grad, eta, opts.positivity_clip)
+                    t0, cand = nehari_project(pair, problem)
             except (NotInEPlus, BracketFailure):
                 eta *= opts.backtrack_factor
                 continue

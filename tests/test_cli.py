@@ -201,6 +201,22 @@ def test_solve_command_reports_nonconvergence(tmp_path):
     assert "converged = False" in (out / "report.txt").read_text(encoding="ascii")
 
 
+@pytest.mark.parametrize("step_init", ["1e300", "1e308"])
+def test_overflowing_first_step_stalls_without_warnings(tmp_path, capfd, step_init):
+    # every trial of the first line search overflows: each is a failed
+    # trial, so the solve stalls (exit 2) and nothing leaks to stderr
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = run(
+        ["solve", "--config", str(cfg), "--out", str(out),
+         "--set", f"solver.step_init={step_init}"]
+    )
+    assert code == 2
+    assert "stalled = True" in (out / "report.txt").read_text(encoding="ascii")
+    err = capfd.readouterr().err
+    assert "RuntimeWarning" not in err and "non-finite" not in err
+
+
 def test_solve_command_deterministic_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -507,18 +507,20 @@ def test_preconditioner_not_positive_definite_is_refused_typed(problem, check):
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
 def test_preconditioned_gradient_carries_its_transform(dim, n):
-    # each output field keeps the mixed half spectrum it was transformed
-    # back from, which must be the transform of its values up to rounding;
-    # unequal orders and a nonzero mean coupling mix the two components
+    # the output pair keeps the mixed half spectra it was transformed back
+    # from, each row of which must be the transform of that row's values up
+    # to rounding; unequal orders and a nonzero mean coupling mix the two
+    # components.  The pair carries the transform, its rows none.
     prob = dataclasses.replace(constant_problem(dim=dim, n=n, s=0.4), s2=0.9)
     assert prob.mean_coupling() != 0.0
     grad = gradient(smooth_pair(prob, 3), prob, preconditioned=True)
-    for w in (grad.u, grad.v):
-        assert "spectrum" in w.__dict__
-        fresh = np.fft.rfftn(w.values)
-        assert np.max(np.abs(w.spectrum - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+    assert "spectrum" in grad.__dict__
+    for i in (0, 1):
+        fresh = np.fft.rfftn(grad.values[i])
+        assert np.max(np.abs(grad.spectrum[i] - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+    assert "spectrum" not in grad.u.__dict__ and "spectrum" not in grad.v.__dict__
     plain = gradient(smooth_pair(prob, 3), prob)
-    assert "spectrum" not in plain.u.__dict__
+    assert "spectrum" not in plain.__dict__
 
 
 def test_quadratic_parts_are_kept_for_their_own_problem(monkeypatch):
