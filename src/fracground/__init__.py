@@ -34,7 +34,6 @@ from .model import (
     validate_assumptions,
 )
 from .energy import (
-    DEFAULT_NEHARI_TOL,
     EnergyBreakdown,
     StatePair,
     coupled_quadratic,

@@ -368,21 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 success, 1 validation failure, "
         "2 non-convergence, 3 I/O error",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="path to a key=value config")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config key (repeatable)",
-        )
-        sp.add_argument("--seed", type=int, default=None, help="override solver.seed")
-        sp.add_argument("--restarts", type=int, default=1, help="independent restarts")
+    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("--config", required=True, help="path to a key=value config")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a config key (repeatable)",
+    )
+    parser.add_argument("--seed", type=int, default=None, help="override solver.seed")
+    parser.add_argument("--restarts", type=int, default=1, help="independent restarts")
     return parser
 
 

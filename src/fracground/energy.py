@@ -18,9 +18,11 @@ A pair is held as one stacked (2, *grid.shape) array, so each pass over it
 covers both components in one call: one transform each way over the grid
 axes, one dot product per inner product (batched over the rows where
 EnergyBreakdown needs each component's part), and one evaluation of f, F
-or dnq per distinct nonlinearity (ProblemSpec._nonlinearity).  The pair,
-not its rows, carries the transform.  A state's values are checked for
-finiteness once, as Fields where it enters, not on pairs formed from pairs.
+or dnq per distinct nonlinearity (ProblemSpec._nonlinearity).  The pair
+is the one carrier of a transform: its spectrum is taken once, over both
+rows, or carried from the pairs it was formed from; its rows and other
+Fields carry none.  A state's values are checked for finiteness once, as
+Fields where it enters, not on pairs formed from pairs.
 """
 
 from __future__ import annotations
@@ -42,11 +44,7 @@ __all__ = [
     "coupled_quadratic",
     "nehari_value",
     "l2_norm_pair",
-    "DEFAULT_NEHARI_TOL",
 ]
-
-# Default relative tolerance on |nehari_value| vs the coupled quadratic form.
-DEFAULT_NEHARI_TOL = 1.0e-10
 
 
 class StatePair:
@@ -55,13 +53,15 @@ class StatePair:
     u and v.
 
     ``StatePair(u, v)`` takes two Fields, which have checked their values
-    for finiteness.  ``u`` and ``v`` are Fields that view the rows.  The
-    pair's transform ``spectrum``, shape (2, *half spectrum), is one
-    ``rfftn`` over the grid axes, taken on first use or carried from the
-    pairs this one was formed from (``scaled``, ``_stacked``), and then
-    equal to it up to rounding; the rows carry none.  The pair keeps the
-    quadratic parts of the last problem they were computed for (see
-    ``_quadratic_parts``).
+    for finiteness, and copies them into the stacked array.  ``u`` and
+    ``v`` are Fields that view the rows.  The pair is the one carrier of a
+    transform: ``spectrum``, shape (2, *half spectrum), is one ``rfftn``
+    over the grid axes, taken on first use or carried from the pairs this
+    one was formed from (``scaled``, ``_stacked``), and then equal to it
+    up to rounding; the rows carry none.  A line-search trial that the
+    positivity clip changed carries none either and takes it on first use
+    (solver._trial).  The pair keeps the quadratic parts of the last
+    problem they were computed for (see ``_quadratic_parts``).
     """
 
     def __init__(self, u: Field, v: Field):
@@ -71,8 +71,6 @@ class StatePair:
         values = np.stack((u.values, v.values))
         values.flags.writeable = False
         self.values = values
-        # the given fields stand for the rows they equal
-        self.__dict__.update(u=u, v=v)
 
     @classmethod
     def _stacked(cls, grid, values: np.ndarray, spectrum=None) -> "StatePair":

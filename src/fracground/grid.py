@@ -62,8 +62,10 @@ class Grid:
     dim is 1 to 3 and n_per_axis a power of two >= 8; box_length L is
     positive and finite, with L**dim, the cell volume and (L/n)**2 in the
     normal float range.  Instances are immutable: ``cell_volume``
-    (L**dim / n**dim) is set on construction, derived arrays (wavenumbers,
-    coordinates, multiplier symbols) are computed lazily and cached.
+    (L**dim / n**dim) is set on construction; wavenumbers, coordinates and
+    |xi|^2 are computed on first use and kept.  Multiplier symbols and
+    Parseval weights are computed per call: ProblemSpec keeps the ones of
+    its orders.
     """
 
     dim: int
@@ -98,7 +100,6 @@ class Grid:
         object.__setattr__(self, "n_per_axis", n)
         object.__setattr__(self, "box_length", L)
         object.__setattr__(self, "cell_volume", cell_volume)
-        object.__setattr__(self, "_cache", {})
 
     @cached_property
     def wavenumbers(self) -> tuple:
@@ -122,64 +123,60 @@ class Grid:
         """Sample positions along one axis (identical for all axes)."""
         return np.arange(self.n_per_axis) * self.spacing
 
+    @cached_property
+    def _coordinates(self) -> tuple:
+        axes = [self.axis_coordinates()] * self.dim
+        return tuple(np.meshgrid(*axes, indexing="ij"))
+
     def coordinates(self) -> tuple:
         """dim arrays of shape ``grid.shape`` with point coordinates."""
-        cache = self._cache
-        if "coords" not in cache:
-            axes = [self.axis_coordinates()] * self.dim
-            cache["coords"] = tuple(np.meshgrid(*axes, indexing="ij"))
-        return cache["coords"]
+        return self._coordinates
+
+    @cached_property
+    def _sq_wavenumber(self) -> np.ndarray:
+        k2 = np.zeros(self.shape[:-1] + (self.n_per_axis // 2 + 1,))
+        for axis, w in enumerate(self.wavenumbers):
+            if axis == self.dim - 1:
+                # fftfreq puts mode n/2 at -n/2: the same square
+                w = w[: self.n_per_axis // 2 + 1]
+            shape = [1] * self.dim
+            shape[axis] = w.size
+            k2 = k2 + (w**2).reshape(shape)
+        return k2
 
     def sq_wavenumber(self) -> np.ndarray:
         """|xi|^2 on the half spectrum of ``rfftn``: the last axis keeps
         modes 0..n/2."""
-        cache = self._cache
-        if "k2" not in cache:
-            k2 = np.zeros(self.shape[:-1] + (self.n_per_axis // 2 + 1,))
-            for axis, w in enumerate(self.wavenumbers):
-                if axis == self.dim - 1:
-                    # fftfreq puts mode n/2 at -n/2: the same square
-                    w = w[: self.n_per_axis // 2 + 1]
-                shape = [1] * self.dim
-                shape[axis] = w.size
-                k2 = k2 + (w**2).reshape(shape)
-            cache["k2"] = k2
-        return cache["k2"]
+        return self._sq_wavenumber
 
     def symbol(self, s: float) -> np.ndarray:
-        """Multiplier |xi|^(2s) on the half spectrum; the zero mode maps to 0."""
-        cache = self._cache
-        key = ("sym", float(s))
-        if key not in cache:
-            cache[key] = self.sq_wavenumber() ** float(s)
-        return cache[key]
+        """Multiplier |xi|^(2s) on the half spectrum, a new array on each
+        call; the zero mode maps to 0."""
+        return self.sq_wavenumber() ** float(s)
 
     def parseval_weight(self, s: float) -> np.ndarray:
         """Weights w with int |(-Lap)^(s/2) u|^2 = cell_volume * sum(w x^2),
-        x the real and imaginary parts of u's half spectrum, interleaved as
-        ``Field.spectrum.view(float)`` lays them out (a flat array).
+        x the real and imaginary parts of u's half spectrum (``rfftn``),
+        interleaved as ``.view(float)`` lays them out (a flat array); a new
+        array on each call.
 
         w is 2 |xi|^(2s) / npoints: the last axis's modes other than 0 and
         n/2 stand for conjugate pairs and count twice, those two columns
         once, so they carry half of it.
         """
-        cache = self._cache
-        key = ("parseval", float(s))
-        if key not in cache:
-            w = (2.0 / self.npoints) * self.symbol(s)
-            w[..., 0] *= 0.5
-            w[..., -1] *= 0.5
-            cache[key] = np.repeat(w, 2, axis=-1).ravel()
-        return cache[key]
+        w = (2.0 / self.npoints) * self.symbol(s)
+        w[..., 0] *= 0.5
+        w[..., -1] *= 0.5
+        return np.repeat(w, 2, axis=-1).ravel()
 
 
 @dataclass(frozen=True)
 class Field:
-    """Real samples of a function on a grid, row-major layout.  Every value
-    must be finite: this is the one finiteness check, made where a state
-    enters (a pair's fields, a read file, sampled weights).  The values are
-    read-only, never written after construction, so their transform
-    ``spectrum`` is taken at most once, on first use, and kept."""
+    """Real samples of a function on a grid, row-major layout, read-only.
+    Every value must be finite: this is the one finiteness check, made
+    where a state enters (a pair's fields, a read file, sampled weights).
+    A Field keeps no transform; energy.StatePair is the one carrier of
+    one."""
 
     grid: Grid
     values: np.ndarray
@@ -200,12 +197,6 @@ class Field:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """``rfftn`` of the values, the half spectrum of ``Grid.symbol``,
-        taken on first use."""
-        return sfft.rfftn(self.values)
-
 
 def make_grid(dim: int, n_per_axis: int, box_length: float) -> Grid:
     """Build a periodic grid; :class:`Grid` holds the rules of its arguments."""
@@ -223,11 +214,11 @@ def apply_frac_laplacian(u: Field, s: float) -> Field:
     s must lie in (0, 1]; s = 1 reproduces the spectral classical
     Laplacian, fractional orders interpolate between identity-like and
     second-order behaviour per Fourier mode.  The field is real: its half
-    spectrum (Field.spectrum) is multiplied and transformed back.
+    spectrum, taken per call, is multiplied and transformed back.
     """
     _check_order(s, "s")
     g = u.grid
-    return Field(g, sfft.irfftn(g.symbol(s) * u.spectrum, s=g.shape))
+    return Field(g, sfft.irfftn(g.symbol(s) * sfft.rfftn(u.values), s=g.shape))
 
 
 def integrate(w: Field) -> float:
@@ -250,15 +241,14 @@ def hs_quadratic_form(u: Field, s: float, V: Field) -> float:
     """Quadratic form int |(-Lap)^(s/2) u|^2 + V u^2 dx, order s in (0, 1].
 
     The half-order term is the Parseval sum of |xi|^(2s) |u_hat|^2 /
-    npoints over the field's half spectrum (``Field.spectrum``, taken
-    once), one dot product of the squared real and imaginary parts
-    with ``Grid.parseval_weight``, cached per grid and order.  The
-    potential term is one dot product of V with u^2.  V is any sampled
-    weight; positivity is checked elsewhere.
+    npoints over the field's half spectrum, taken per call: one dot
+    product of the squared real and imaginary parts with
+    ``Grid.parseval_weight``.  The potential term is one dot product of V
+    with u^2.  V is any sampled weight; positivity is checked elsewhere.
     """
     _check_order(s, "s")
     _check_same_grid(u, V)
-    g, x = u.grid, u.spectrum.view(np.float64).ravel()
+    g, x = u.grid, sfft.rfftn(u.values).view(np.float64).ravel()
     kinetic = float(np.vdot(g.parseval_weight(s), x * x))
     potential = float(np.vdot(V.values, u.values * u.values))
     return g.cell_volume * (kinetic + potential)

@@ -455,7 +455,9 @@ class ProblemSpec:
     preconditioner (the per-mode inverse of the coupled linear part with
     mean weights), the coarse problem of a cold solve and the per-component
     inputs stacked along a first axis of length 2, as a StatePair holds its
-    components, are derived once and cached on the instance.
+    components, are derived once and cached on the instance.  It is the one
+    owner of arrays that depend on the orders s1, s2 (multiplier symbols,
+    Parseval weights, preconditioner); the grid computes them per call.
     """
 
     grid: Grid
@@ -494,9 +496,8 @@ class ProblemSpec:
         (1 - delta^2) ab > 0.  A block that is not positive definite on some
         mode raises ValidationFailed naming the hypothesis it breaks.
         """
-        sym = self.grid.symbol
-        a = sym(self.s1) + self.mean_potential(1)
-        b = sym(self.s2) + self.mean_potential(2)
+        a = self._symbols[0] + self.mean_potential(1)
+        b = self._symbols[1] + self.mean_potential(2)
         lam = self.mean_coupling()
         if not (np.min(a) > 0.0 and np.min(b) > 0.0):  # false on nan
             raise ValidationFailed(

@@ -16,15 +16,15 @@ A pair is one stacked (2, *grid.shape) array (energy.StatePair), so each
 pass covers both components in one call: one transform each way, one
 evaluation of f or dnq per distinct nonlinearity, one dot product per
 inner product.
-A trial costs no transform.  Each pair keeps its Fourier transform
+A trial costs no transform.  Only a pair carries a Fourier transform
 (StatePair.spectrum), and the preconditioned gradient carries the half
 spectra it was transformed back from, so a trial state - eta grad carries
-the state's spectrum minus eta times the gradient's; only the rows the
-positivity clip changes take their own, in one call.  The projection's
-Q (one pass of batched Parseval dot products) is kept on the trial and
-carried times t^2 onto the projected pair, whose energy reads it, and the
-projected pair carries t times the trial's spectrum for its gradient.  An
-accepted step thus costs the 2 transforms of that gradient, and each
+the state's spectrum minus eta times the gradient's.  A trial the
+positivity clip changes carries none: its projection takes it, over both
+rows in one call.  The projection's Q (one pass of batched Parseval dot
+products) is kept on the trial and carried times t^2 onto the projected
+pair, whose energy reads it, and the projected pair carries t times the
+trial's spectrum for its gradient.  An accepted step thus costs the 2 transforms of that gradient, and each
 projection 1 quadratic-form pass.  A state is checked for finite values
 once, where it enters; a trial that overflows has a non-finite Q, so its
 projection fails and the line search backtracks.
@@ -416,10 +416,10 @@ def _cold_solve(problem: ProblemSpec, opts: SolverOptions, start, finish) -> Sol
     )
 
 
-def _prolong(coarse: Field | StatePair, grid: Grid) -> np.ndarray:
-    """The trigonometric interpolant of a coarse field, or of both rows of
-    a coarse pair at once, sampled on ``grid``, which has twice as many
-    points per axis on the same box.
+def _prolong(coarse: StatePair, grid: Grid) -> np.ndarray:
+    """The trigonometric interpolant of both rows of a coarse pair at once,
+    sampled on ``grid``, which has twice as many points per axis on the
+    same box.
 
     The coarse half spectrum is zero-padded and scaled by the ratio of the
     point counts.  Each coarse Nyquist coefficient is split evenly between
@@ -430,9 +430,9 @@ def _prolong(coarse: Field | StatePair, grid: Grid) -> np.ndarray:
     nc, n, dim = coarse.grid.n_per_axis, grid.n_per_axis, grid.dim
     h = nc // 2
     spec = coarse.spectrum
-    # the grid axes are the last dim ones, after a pair's axis of rows
-    for axis in range(spec.ndim - dim, spec.ndim):
-        last = axis == spec.ndim - 1
+    # the grid axes follow the pair's axis of rows
+    for axis in range(1, dim + 1):
+        last = axis == dim
         src = np.moveaxis(spec, axis, 0)
         out = np.zeros((n // 2 + 1 if last else n,) + src.shape[1:], dtype=complex)
         out[:h] = src[:h]
@@ -448,10 +448,8 @@ def _descend(
     problem: ProblemSpec, init: StatePair, opts: SolverOptions, max_iters: int
 ) -> SolveReport:
     """Projected descent from ``init`` on the problem's own grid, with at
-    most ``max_iters`` outer iterations; the problem is taken as validated."""
-    if not init.has_positive_part():
-        raise NotInEPlus("initial state has no positive part in either component")
-
+    most ``max_iters`` outer iterations; the problem is taken as validated.
+    An ``init`` without a positive part raises NotInEPlus (nehari_project)."""
     t0, state = nehari_project(init, problem)
     t_history = [t0]
     parts = energy(state, problem)
@@ -522,19 +520,18 @@ def _descend(
 
 
 def _trial(state: StatePair, grad: StatePair, eta: float, clip: bool) -> StatePair:
-    """The trial pair state - eta grad, clipped at 0 under ``clip``.  It
-    carries the state's spectrum minus eta times the gradient's (the
-    gradient's own, carried), so a trial the clip leaves unchanged takes no
-    transform; the rows the clip changes take theirs, in one call."""
+    """The trial pair state - eta grad, clipped at 0 under ``clip``.  A
+    trial the clip leaves unchanged carries the state's spectrum minus eta
+    times the gradient's (the gradient's own, carried), so it takes no
+    transform; a trial the clip changes carries none, and its projection
+    takes it over both rows in one call."""
     values = eta * grad.values
     np.subtract(state.values, values, out=values)
+    if clip and values.min() < 0.0:
+        np.maximum(values, 0.0, out=values)
+        return StatePair._stacked(state.grid, values)
     spectrum = eta * grad.spectrum
     np.subtract(state.spectrum, spectrum, out=spectrum)
-    if clip:
-        clipped = np.flatnonzero(values.reshape(2, -1).min(axis=1) < 0.0)
-        if clipped.size:
-            np.maximum(values, 0.0, out=values)
-            spectrum[clipped] = sfft.rfftn(values[clipped], s=state.grid.shape)
     return StatePair._stacked(state.grid, values, spectrum)
 
 

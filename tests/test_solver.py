@@ -91,6 +91,14 @@ def test_projection_requires_positive_part():
         nehari_project(bad, prob)
 
 
+def test_solve_requires_a_start_with_a_positive_part():
+    prob = constant_problem()
+    g = prob.grid
+    bad = StatePair(Field(g, -np.ones(g.shape)), Field(g, np.zeros(g.shape)))
+    with pytest.raises(NotInEPlus):
+        solve_ground_state(prob, init=bad, opts=FAST)
+
+
 def test_projection_fails_when_quadratic_form_degenerate():
     # coupling above the geometric mean of the potentials makes the
     # quadratic form negative along u = v, so no projected scale exists
@@ -370,8 +378,8 @@ def test_solve_takes_two_transforms_per_iteration_and_one_form_per_projection(
 @pytest.mark.parametrize("clip", [True, False])
 def test_unclipped_trial_carries_its_transform(clip, monkeypatch):
     # state - eta * gradient carries the state's spectrum minus eta times
-    # the gradient's; the rows the clip changes take their own transform,
-    # in one call, and the others keep the carried one
+    # the gradient's; a trial the clip changes carries none and takes no
+    # transform until its spectrum is asked for, then one over both rows
     import scipy.fft
 
     prob = constant_problem(s=0.8)
@@ -407,12 +415,23 @@ def test_unclipped_trial_carries_its_transform(clip, monkeypatch):
     assert np.array_equal(one_row.values[0], state.values[0])
     if clip:
         assert one_row.values[1].min() == 0.0
-        assert transforms == [(1,) + prob.grid.shape]
-        assert np.array_equal(one_row.spectrum[1], np.fft.rfftn(one_row.values[1]))
+        assert transforms == [] and "spectrum" not in one_row.__dict__
+        taken = one_row.spectrum
+        assert transforms == [(2,) + prob.grid.shape]
+        assert np.array_equal(taken, rfftn(one_row.values, s=prob.grid.shape))
     else:
         assert one_row.values[1].min() < 0.0
         assert transforms == []
     assert carries_its_transform(one_row)
+
+
+@pytest.mark.parametrize("build", [constant_problem, perturbed_problem])
+def test_cold_solve_without_the_clip_reaches_the_clipped_level(build):
+    prob = build()
+    clipped = solve_ground_state(prob, opts=FAST)
+    free = solve_ground_state(prob, opts=dataclasses.replace(FAST, positivity_clip=False))
+    assert clipped.converged and free.converged
+    assert abs(free.level - clipped.level) <= 1e-10 * abs(clipped.level)
 
 
 # ---------------------------------------------------------------------------
@@ -730,20 +749,23 @@ def test_cold_solve_agrees_with_a_fine_only_solve(build):
 def test_prolongation_interpolates_the_coarse_samples(dim, n):
     coarse, fine = make_grid(dim, n, 8.0), make_grid(dim, 2 * n, 8.0)
     rng = np.random.default_rng(dim)
-    # white noise carries every coarse mode, the Nyquist modes included
+    # white noise carries every coarse mode, the Nyquist modes included;
+    # the second row, the first negated, checks that rows stay apart
     u = Field(coarse, rng.standard_normal(coarse.shape))
-    values = solver._prolong(u, fine)
-    assert values.shape == fine.shape
+    values = solver._prolong(StatePair(u, Field(coarse, -u.values)), fine)
+    assert values.shape == (2,) + fine.shape
     every_other = (slice(None, None, 2),) * dim
-    assert np.max(np.abs(values[every_other] - u.values)) <= 1e-13
-    assert np.mean(values) == pytest.approx(np.mean(u.values), abs=1e-13)
+    assert np.max(np.abs(values[0][every_other] - u.values)) <= 1e-13
+    assert np.max(np.abs(values[1] + values[0])) <= 1e-13
+    assert np.mean(values[0]) == pytest.approx(np.mean(u.values), abs=1e-13)
     # a fine field without modes at or above n/2 is its own interpolant
     x = fine.coordinates()
     smooth = np.exp(sum(np.cos(2.0 * np.pi * k * xi / 8.0) for k, xi in enumerate(x, 1)) / 4.0)
     below = fine.sq_wavenumber() < (np.pi * n / 8.0) ** 2
     smooth = np.fft.irfftn(np.fft.rfftn(smooth) * below, s=fine.shape, axes=range(dim))
     sampled = Field(coarse, smooth[every_other])
-    assert np.max(np.abs(solver._prolong(sampled, fine) - smooth)) <= 1e-13
+    prolonged = solver._prolong(StatePair(sampled, sampled), fine)
+    assert np.max(np.abs(prolonged - smooth)) <= 1e-13
 
 
 def test_only_cold_solves_from_64_points_build_a_coarse_grid(monkeypatch):
