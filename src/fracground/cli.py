@@ -149,7 +149,6 @@ _KEYS = {
             ("tol_energy", float),
             ("tol_residual", float),
             ("seed", int),
-            ("positivity_clip", _parse_bool),
         )
     },
     "sweep.scales": ("config", "sweep_scales", _parse_float_list),

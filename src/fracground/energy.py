@@ -58,10 +58,10 @@ class StatePair:
     transform: ``spectrum``, shape (2, *half spectrum), is one ``rfftn``
     over the grid axes, taken on first use or carried from the pairs this
     one was formed from (``scaled``, ``_stacked``), and then equal to it
-    up to rounding; the rows carry none.  A line-search trial that the
-    positivity clip changed carries none either and takes it on first use
-    (solver._trial).  The pair keeps the quadratic parts of the last
-    problem they were computed for (see ``_quadratic_parts``).
+    up to rounding; the rows carry none, nor does a line-search trial that
+    the clip at 0 changed (solver._trial).  solver.nehari_project refuses a
+    pair with no positive part.  The pair keeps the quadratic parts of the
+    last problem they were computed for (see ``_quadratic_parts``).
     """
 
     def __init__(self, u: Field, v: Field):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -85,12 +86,11 @@ class ScalarFunctionSpec:
     def __post_init__(self):
         if self.kind not in FUNCTION_KINDS:
             raise _RuleError("kind", f"unknown scalar function kind {self.kind!r}")
-        periods = self.trig_periods
-        if isinstance(periods, (int, np.integer)):
-            periods = (int(periods),)
+        periods = np.atleast_1d(self.trig_periods).tolist()  # one number: one for all axes
+        if not all(isinstance(m, numbers.Real) and m >= 1 and m % 1 == 0 for m in periods):
+            msg = f"trig_periods must be whole numbers >= 1, got {self.trig_periods!r}"
+            raise _RuleError("trig_periods", msg)
         object.__setattr__(self, "trig_periods", tuple(int(m) for m in periods))
-        if any(m < 1 for m in self.trig_periods):
-            raise _RuleError("trig_periods", "trig_periods must be positive integers")
         for name in ("base_constant", "trig_amplitude", "perturbation_amplitude"):
             if not np.isfinite(getattr(self, name)):
                 raise _RuleError(name, f"{name} must be finite, got {getattr(self, name)}")

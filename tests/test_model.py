@@ -375,6 +375,24 @@ def test_function_spec_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "periods", [(1.5, 2), 2.5, (1, float("nan")), "12"], ids=["1.5,2", "2.5", "1,nan", "text"]
+)
+def test_trig_periods_that_are_not_whole_are_refused(periods):
+    # a fractional period would be truncated; the rule names its field
+    with pytest.raises(ValueError, match="trig_periods") as err:
+        ScalarFunctionSpec(kind="periodic_trig", trig_amplitude=0.1, trig_periods=periods)
+    assert err.value.field == "trig_periods"
+
+
+def test_whole_trig_periods_are_kept_as_integers():
+    # a single number is one period for every axis
+    for periods, kept in (((1.0, 2), (1, 2)), (2, (2,)), (3.0, (3,)), (np.int64(2), (2,))):
+        spec = ScalarFunctionSpec(kind="periodic_trig", trig_amplitude=0.1, trig_periods=periods)
+        assert spec.trig_periods == kept
+        assert all(type(m) is int for m in spec.trig_periods)
+
+
 # ---------------------------------------------------------------------------
 # problem specs
 
