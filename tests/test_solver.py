@@ -442,6 +442,35 @@ def test_cold_solve_reaches_the_clip_and_converges_sooner(monkeypatch):
     assert rep.state.values.min() >= 0.0
 
 
+@pytest.mark.parametrize("build", [constant_problem, perturbed_problem])
+def test_cold_solve_without_the_clip_reaches_the_clipped_level(build, monkeypatch):
+    # on these problems no trial turns negative, so the clip changes none
+    # and a descent whose trials are never clipped reaches the same level
+    prob = build()
+    trial = solver._trial
+    clipped = []
+
+    def counted(state, grad, eta):
+        pair = trial(state, grad, eta)
+        clipped.append("spectrum" not in pair.__dict__)
+        return pair
+
+    def unclipped(state, grad, eta):
+        return StatePair._stacked(
+            state.grid,
+            state.values - eta * grad.values,
+            state.spectrum - eta * grad.spectrum,
+        )
+
+    monkeypatch.setattr(solver, "_trial", counted)
+    with_clip = solve_ground_state(prob, opts=FAST)
+    monkeypatch.setattr(solver, "_trial", unclipped)
+    free = solve_ground_state(prob, opts=FAST)
+    assert clipped and sum(clipped) == 0
+    assert with_clip.converged and free.converged
+    assert abs(free.level - with_clip.level) <= 1e-10 * abs(with_clip.level)
+
+
 # ---------------------------------------------------------------------------
 # the solver
 
