@@ -16,9 +16,10 @@ derivative of t -> I(t u, t v) at t = 1.
 
 A pair is held as one stacked (2, *grid.shape) array, so each pass over it
 covers both components in one call: one transform each way over the grid
-axes, one dot product per inner product (batched over the rows where
-EnergyBreakdown needs each component's part), and one evaluation of f, F
-or dnq per distinct nonlinearity (ProblemSpec._nonlinearity).  The pair
+axes (grid._rfftn and grid._irfftn, numpy.fft's real pair), one dot
+product per inner product (batched over the rows where EnergyBreakdown
+needs each component's part), and one evaluation of f, F or dnq per
+distinct nonlinearity (ProblemSpec._nonlinearity).  The pair
 is the one carrier of a transform: its spectrum is taken once, over both
 rows, or carried from the pairs it was formed from; its rows and other
 Fields carry none.  A state's values are checked for finiteness once, as
@@ -31,9 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sfft
 
-from .grid import Field, GridMismatch
+from .grid import Field, GridMismatch, _irfftn, _rfftn
 from .model import ProblemSpec
 
 __all__ = [
@@ -92,7 +92,7 @@ class StatePair:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """``rfftn`` of both rows, one call over the last grid.dim axes."""
-        return sfft.rfftn(self.values, s=self.grid.shape)
+        return _rfftn(self.values, self.grid)
 
     @cached_property
     def u(self) -> Field:
@@ -105,7 +105,8 @@ class StatePair:
     def _positive(self) -> tuple:
         """(x, k): the positive entries of ``values`` in row-major order, one
         gather over both rows, of which the first k are u's.  Taken afresh on
-        each call, so no pair keeps a copy of its entries alive."""
+        each call; only a projected pair holds one, handed over by
+        solver.nehari_project until its first ``energy`` takes it."""
         mask = self.values > 0.0
         return self.values[mask], int(np.count_nonzero(mask[0]))
 
@@ -194,8 +195,9 @@ def energy(state: StatePair, problem: ProblemSpec) -> EnergyBreakdown:
     _check_state(state, problem)
     dV = problem.grid.cell_volume
     quad_u, quad_v, coupling_term = _quadratic_parts(state, problem)
-    # F vanishes on t <= 0, so only the positive entries are evaluated
-    x, k = state._positive()
+    # F vanishes on t <= 0, so only the positive entries are evaluated; a
+    # projected pair's first energy takes the gather its projection made
+    x, k = state.__dict__.pop("_gathered", None) or state._positive()
     Fx = problem._nonlinearity("F", x, k)
     F1_integral = dV * float(Fx[:k].sum())
     F2_integral = dV * float(Fx[k:].sum())
@@ -245,10 +247,10 @@ def gradient(
     del term
     r = problem._symbols * state.spectrum
     if not preconditioned:
-        plain = sfft.irfftn(r, s=g.shape)
+        plain = _irfftn(r, g)
         plain += local
         return StatePair._stacked(g, plain)
-    r += sfft.rfftn(local, s=g.shape)
+    r += _rfftn(local, g)
     del local
     p11, p12, p22 = problem._preconditioner
     # mixed in place: (p11 r0 + p12 r1, p12 r0 + p22 r1)
@@ -257,7 +259,7 @@ def gradient(
     r[1] += p12 * r[0]
     r[0] *= p11
     r[0] += cross
-    return StatePair._stacked(g, sfft.irfftn(r, s=g.shape), r)
+    return StatePair._stacked(g, _irfftn(r, g), r)
 
 
 def l2_norm_pair(state: StatePair) -> float:

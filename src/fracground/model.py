@@ -537,14 +537,20 @@ class ProblemSpec:
         component on x, whose entries before ``split`` along its first axis
         are u's and the rest v's (the rows of a stacked pair, split = 1, or
         a pair's gathered positive entries).  Nonlinearities are grouped by
-        equality, not identity: equal ones take one call over all of x,
-        others one call each."""
-        if self.nl1 == self.nl2:
+        equality, not identity, decided once per problem: equal ones take
+        one call over all of x, others one call each."""
+        if self._shared_nonlinearity:
             return getattr(self.nl1, name)(x)
         out = np.empty_like(x)
         out[:split] = getattr(self.nl1, name)(x[:split])
         out[split:] = getattr(self.nl2, name)(x[split:])
         return out
+
+    @cached_property
+    def _shared_nonlinearity(self) -> bool:
+        """Whether nl1 == nl2, so that one call of ``_nonlinearity`` covers
+        both components."""
+        return self.nl1 == self.nl2
 
     @cached_property
     def _coarse(self) -> "ProblemSpec":

@@ -13,9 +13,9 @@ no logarithm.  A pure power takes a whole exponent up to 8 by
 multiplication.
 
 A pair is one stacked (2, *grid.shape) array (energy.StatePair), so each
-pass covers both components in one call: one transform each way, one
-evaluation of f or dnq per distinct nonlinearity, one dot product per
-inner product.
+pass covers both components in one call: one transform each way (numpy.fft
+through grid._rfftn and grid._irfftn), one evaluation of f or dnq per
+distinct nonlinearity, one dot product per inner product.
 The ground states are positive and f vanishes on t <= 0, so the trials and
 a two-level solve's prolonged start are clipped at 0, and only
 nehari_project refuses a pair with no positive part (NotInEPlus).  A trial
@@ -65,7 +65,6 @@ import dataclasses
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import fft as sfft
 
 from .energy import (
     EnergyBreakdown,
@@ -77,7 +76,7 @@ from .energy import (
     gradient,
     l2_norm_pair,
 )
-from .grid import Field, Grid, _RuleError
+from .grid import Field, Grid, _RuleError, _irfftn, _rfftn
 from .model import ProblemSpec, ValidationFailed, gaussian_bump, validate_assumptions
 
 __all__ = [
@@ -228,6 +227,8 @@ def nehari_project(state: StatePair, problem: ProblemSpec) -> tuple:
     exponent p, t0 = (Q / int(u+^p + v+^p))^(1/(p-2)); otherwise by
     safeguarded Newton from t = 1.  Raises NotInEPlus without a positive
     part and BracketFailure when Q <= 0 or no root lies in [2^-60, 2^60].
+    The scaled pair hands t0 times the gather of the pair's positive
+    entries to its first energy (energy.energy), which then gathers none.
     """
     x, k = state._positive()
     if not x.size:
@@ -238,7 +239,12 @@ def nehari_project(state: StatePair, problem: ProblemSpec) -> tuple:
             f"coupled quadratic form is {Q:.3g}; no projection exists"
         )
     t0 = _ray_scale(x, k, problem, Q)
-    return t0, state.scaled(t0)
+    projected = state.scaled(t0)
+    # entry for entry, t0 * x is the gather of t0 times the values (an entry
+    # that underflows to 0 adds F(0) = 0)
+    x *= t0
+    projected.__dict__["_gathered"] = (x, k)
+    return t0, projected
 
 
 def _ray_scale(x: np.ndarray, k: int, problem: ProblemSpec, Q: float) -> float:
@@ -443,7 +449,7 @@ def _prolong(coarse: StatePair, grid: Grid) -> np.ndarray:
             out[n - h] = 0.5 * src[h]
             out[n - h + 1:] = src[h + 1:]
         spec = np.moveaxis(out, 0, axis)
-    return sfft.irfftn(spec * (n / nc) ** dim, s=grid.shape)
+    return _irfftn(spec * (n / nc) ** dim, grid)
 
 
 def _descend(
@@ -624,7 +630,7 @@ def _smooth_random_field(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     noise = rng.standard_normal(grid.shape)
     scale = (grid.box_length / 16.0) ** 2
     filt = np.exp(-scale * grid.sq_wavenumber())
-    return sfft.irfftn(filt * sfft.rfftn(noise), s=grid.shape)
+    return _irfftn(filt * _rfftn(noise, grid), grid)
 
 
 @dataclass

@@ -1,7 +1,11 @@
 """Config parsing, rendering, subcommands, and exit codes."""
 
+import os
 import re
 import runpy
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,23 @@ def write_config(tmp_path, text=BASE_CONFIG, name="problem.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="ascii")
     return path
+
+
+TESTS = Path(__file__).resolve().parent
+
+# A cold library solve and a CLI solve, then the names of the loaded scipy
+# modules; run in a fresh interpreter, so only what they import is loaded.
+NO_SCIPY_SCRIPT = """\
+import sys
+
+from fracground import solve_ground_state
+from fracground.cli import run
+from helpers import constant_problem
+
+assert solve_ground_state(constant_problem()).converged
+assert run(["solve", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +184,21 @@ def test_solve_report_shows_the_resolution_gap_when_a_coarse_level_ran(tmp_path,
     assert code == 0
     report = (out / "report.txt").read_text(encoding="ascii")
     assert ("\nresolution_gap = " in report) == shown
+
+
+def test_solves_load_no_scipy(tmp_path):
+    # the runtime needs numpy alone: transforms are numpy.fft's
+    cfg = write_config(tmp_path)
+    path = os.pathsep.join((str(TESTS.parent / "src"), str(TESTS)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(cfg), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_check_command_flags_bad_problem(tmp_path):

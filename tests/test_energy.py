@@ -680,18 +680,59 @@ def test_equal_nonlinearities_share_one_evaluation_and_solve_alike(monkeypatch):
     assert np.array_equal(two.state.values, one.state.values)
 
 
+def test_equality_of_the_nonlinearities_is_decided_once_per_problem(monkeypatch):
+    # _nonlinearity runs several times per iteration; it compares nl1 and
+    # nl2 on its first call only
+    x = np.linspace(0.1, 2.0, 10)
+    compared = []
+    eq = NonlinearitySpec.__eq__
+
+    def counted(self, other):
+        compared.append(1)
+        return eq(self, other)
+
+    monkeypatch.setattr(NonlinearitySpec, "__eq__", counted)
+    for prob in (constant_problem(), _parity_cases()["mixed_positive"][0]):
+        compared.clear()
+        first = prob._nonlinearity("f", x, 4)
+        assert len(compared) == 1
+        for _ in range(3):
+            assert np.array_equal(prob._nonlinearity("f", x, 4), first)
+        assert len(compared) == 1
+
+
+@pytest.mark.parametrize("case", ["mixed_positive", "mixed_zero_partner", "shared_sign_changing"])
+def test_projected_pair_hands_its_gather_to_its_first_energy(case, monkeypatch):
+    # nehari_project has gathered the trial's positive entries; t0 times
+    # them is the projected pair's gather, which its first energy takes
+    # instead of gathering again, and keeps no copy of
+    prob, state = _parity_cases()[case]
+    _, projected = nehari_project(state, prob)
+    gathers = []
+    positive = StatePair._positive
+
+    def counted(self):
+        gathers.append(1)
+        return positive(self)
+
+    monkeypatch.setattr(StatePair, "_positive", counted)
+    first = energy(projected, prob)
+    assert gathers == [] and "_gathered" not in projected.__dict__
+    again = energy(projected, prob)
+    assert gathers == [1]
+    assert again == first
+
+
 @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (128, 128), (32, 32, 32)])
 def test_pair_transform_equals_each_component_transform(shape):
     # one rfftn over the grid axes of the stacked pair, and one irfftn back,
-    # give bitwise what each component's own transform gives
-    import scipy.fft
-
+    # give bitwise what each component's own transform over those axes gives
     g = make_grid(len(shape), shape[0], 8.0)
     rng = np.random.default_rng(len(shape) + shape[0])
     state = StatePair(Field(g, rng.standard_normal(shape)), Field(g, rng.standard_normal(shape)))
     spectrum = state.spectrum
     assert spectrum.shape == (2,) + g.symbol(0.5).shape
-    back = scipy.fft.irfftn(spectrum, s=shape)
+    back = sys.modules["fracground.grid"]._irfftn(spectrum, g)
     for i, w in enumerate((state.u, state.v)):
-        assert np.array_equal(spectrum[i], scipy.fft.rfftn(w.values))
-        assert np.array_equal(back[i], scipy.fft.irfftn(spectrum[i], s=shape))
+        assert np.array_equal(spectrum[i], np.fft.rfftn(w.values))
+        assert np.array_equal(back[i], np.fft.irfftn(spectrum[i], s=shape, axes=range(len(shape))))

@@ -350,8 +350,6 @@ def test_solve_takes_two_transforms_per_iteration_and_one_form_per_projection(
     # so an accepted step costs the 2 transforms of the preconditioned
     # gradient (one each way over both components), a projection one
     # quadratic-form pass over its trial, and an energy one call of F
-    import scipy.fft
-
     energy_module = sys.modules["fracground.energy"]
     counts = {"transform": 0, "pass": 0, "project": 0, "energy": 0, "F": 0}
 
@@ -363,7 +361,7 @@ def test_solve_takes_two_transforms_per_iteration_and_one_form_per_projection(
         return counted
 
     for name in ("rfftn", "irfftn"):
-        monkeypatch.setattr(scipy.fft, name, counting("transform", getattr(scipy.fft, name)))
+        monkeypatch.setattr(np.fft, name, counting("transform", getattr(np.fft, name)))
     monkeypatch.setattr(
         energy_module, "_quadratic_pass", counting("pass", energy_module._quadratic_pass)
     )
@@ -372,7 +370,9 @@ def test_solve_takes_two_transforms_per_iteration_and_one_form_per_projection(
     monkeypatch.setattr(NonlinearitySpec, "F", counting("F", NonlinearitySpec.F))
     rep = solve_ground_state(build())
     assert rep.converged and rep.iterations > 0
-    assert counts["transform"] <= 2 * rep.iterations + 3
+    # at least the 2 of each accepted step's gradient: a count that misses
+    # the transforms fails here
+    assert 2 * rep.iterations <= counts["transform"] <= 2 * rep.iterations + 3
     assert counts["pass"] == counts["project"]
     assert counts["F"] == counts["energy"]
 
@@ -381,8 +381,6 @@ def test_unclipped_trial_carries_its_transform(monkeypatch):
     # state - eta * gradient carries the state's spectrum minus eta times
     # the gradient's; a trial the clip changes carries none and takes no
     # transform until its spectrum is asked for, then one over both rows
-    import scipy.fft
-
     prob = constant_problem(s=0.8)
     state = smooth_pair(prob, 1)
     grad = solver.gradient(state, prob, preconditioned=True)
@@ -405,20 +403,20 @@ def test_unclipped_trial_carries_its_transform(monkeypatch):
     along_v.spectrum  # taken before the count starts
     assert (state.values[1] - eta * grad.values[1]).min() < 0.0
     transforms = []
-    rfftn = scipy.fft.rfftn
+    rfftn = np.fft.rfftn
 
     def counted(*args, **kwargs):
         transforms.append(np.shape(args[0]))
         return rfftn(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfftn", counted)
+    monkeypatch.setattr(np.fft, "rfftn", counted)
     one_row = solver._trial(state, along_v, eta)
     assert np.array_equal(one_row.values[0], state.values[0])
     assert one_row.values[1].min() == 0.0
     assert transforms == [] and "spectrum" not in one_row.__dict__
     taken = one_row.spectrum
     assert transforms == [(2,) + prob.grid.shape]
-    assert np.array_equal(taken, rfftn(one_row.values, s=prob.grid.shape))
+    assert np.array_equal(taken, rfftn(one_row.values, axes=(1, 2)))
     assert carries_its_transform(one_row)
 
 
