@@ -34,8 +34,8 @@ from .solver import (
     BracketFailure,
     SolverOptions,
     _best_of,
-    _check_restarts,
     _check_which,
+    _check_whole,
     mountain_pass_diagnostics,
     solve_ground_state,
     solve_scalar_ground_state,
@@ -144,9 +144,6 @@ _KEYS = {
         f"solver.{field}": ("solver", field, parse)
         for field, parse in (
             ("max_iters", int),
-            ("step_init", float),
-            ("backtrack_factor", float),
-            ("tol_energy", float),
             ("tol_residual", float),
             ("seed", int),
         )
@@ -397,7 +394,7 @@ def run(argv) -> int:
             cfg = dataclasses.replace(
                 cfg, options=dataclasses.replace(cfg.options, seed=args.seed)
             )
-        _check_restarts(args.restarts, "--restarts")
+        _check_whole(args.restarts, "--restarts", 1)
         if args.restarts != 1 and args.command not in _RESTARTABLE:
             only = ", ".join(_RESTARTABLE)
             raise _RuleError("restarts", f"{args.command} takes no --restarts (only {only} do)")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import StatePair
-from .grid import Field, _RuleError, lp_norm, integrate
+from .grid import Field, _RuleError, lp_norm
 from .model import ProblemSpec, _perturbation_sign
 from .solver import (
     SolveReport,
@@ -100,11 +100,9 @@ class LimitReport:
 
 
 def _masses(report: SolveReport) -> tuple:
-    u, v = report.state.u, report.state.v
-    return (
-        integrate(Field(u.grid, u.values**2)),
-        integrate(Field(v.grid, v.values**2)),
-    )
+    """The L^2 mass of each row of the report's pair."""
+    state = report.state
+    return tuple(state.grid.cell_volume * float(np.sum(row * row)) for row in state.values)
 
 
 def _row(scale: float, report: SolveReport) -> SweepRow:
@@ -120,12 +118,15 @@ def _row(scale: float, report: SolveReport) -> SweepRow:
 
 
 def _check_scales(scales, field: str, increasing: bool) -> list:
-    """The coupling scales as floats, at least one: a sweep's (``increasing``)
-    non-negative and strictly increasing, a limit's strictly positive and
-    strictly decreasing.  A broken rule raises a _RuleError naming ``field``."""
+    """The coupling scales as finite floats, at least one: a sweep's
+    (``increasing``) non-negative and strictly increasing, a limit's strictly
+    positive and strictly decreasing.  A broken rule raises a _RuleError
+    naming ``field``."""
     scales = [float(s) for s in scales]
     if not scales:
         raise _RuleError(field, "need at least one scale")
+    if not all(np.isfinite(scales)):
+        raise _RuleError(field, f"scales must be finite, got {scales}")
     pairs = list(zip(scales, scales[1:]))
     if increasing:
         if not all(s >= 0.0 for s in scales):
@@ -258,16 +259,14 @@ def decoupling_limit(
     vanishing = None
     distance = None
     if survivor is not None:
-        if survivor == 1:
-            vanishing = last.v_mass / last.u_mass if last.u_mass > 0 else np.inf
-            scalar_field = rep1.state.u
-            final_field = reports[-1].state.u
-        else:
-            vanishing = last.u_mass / last.v_mass if last.v_mass > 0 else np.inf
-            scalar_field = rep2.state.v
-            final_field = reports[-1].state.v
-        diff = Field(scalar_field.grid, final_field.values - scalar_field.values)
-        distance = lp_norm(diff, 2.0) / lp_norm(scalar_field, 2.0)
+        # the surviving row k and the vanishing row 1 - k
+        k = survivor - 1
+        masses = (last.u_mass, last.v_mass)
+        vanishing = masses[1 - k] / masses[k] if masses[k] > 0 else np.inf
+        scalar = (rep1, rep2)[k].state.values[k]
+        final = reports[-1].state.values[k]
+        grid = problem.grid
+        distance = lp_norm(Field(grid, final - scalar), 2.0) / lp_norm(Field(grid, scalar), 2.0)
 
     c_min = min(c1, c2)
     gaps = tuple(abs(r.level - c_min) for r in rows)

@@ -42,7 +42,7 @@ solves near the coupling bound delta -> 1 stay short.  Each line search
 starts from the short Barzilai-Borwein step <s,y>/<y,y> of the last
 accepted iteration (s the change of the pair, y that of its
 preconditioned gradient), which tracks the curvature along the path; the
-first iteration starts from step_init.
+first iteration starts from the step _FIRST_STEP.
 Convergence requires both energy stagnation and a small preconditioned
 gradient residual.  Near a minimizer the energy is flat to within its own
 rounding, so there a first trial is also accepted when it raises the
@@ -93,12 +93,25 @@ __all__ = [
     "mountain_pass_diagnostics",
 ]
 
+# The first iteration's trial step, and the step where the Barzilai-Borwein
+# step is undefined: the preconditioner inverts the linear part (exactly for
+# constant weights), so a unit step is the natural first guess.
+_FIRST_STEP = 1.0
+# Each failed trial multiplies the step by this factor; halving leaves at
+# most 47 trials before the step floor below.
+_BACKTRACK_FACTOR = 0.5
 # Line search gives up once its step has shrunk by this factor from its
 # first trial.
 _STEP_FLOOR = 1.0e-14
-# A Barzilai-Borwein first trial is kept within these multiples of step_init.
+# A Barzilai-Borwein first trial is kept within three decades either side
+# of _FIRST_STEP.
 _BB_MIN = 1.0e-3
 _BB_MAX = 1.0e3
+# A solve converges once the last accepted step lowered the energy by less
+# than this relative amount and the residual is below tol_residual; it lies
+# far above the energy's rounding (_ENERGY_ROUNDING_ULPS), so a converging
+# descent reaches it.
+_TOL_ENERGY = 1.0e-10
 # Energies closer than this many ulps of the energy's largest terms are not
 # resolved: the quadratic forms and nonlinear integrals each carry a few
 # ulps of rounding, and on the constraint set they cancel to several times
@@ -131,40 +144,37 @@ class BracketFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """What a caller sets for a solve: ``max_iters``, the outer iteration
+    budget (a whole number >= 1); ``tol_residual``, the relative
+    preconditioned gradient residual a converged solve stays below
+    (positive); and ``seed``, the start's random seed (a whole number
+    >= 0).  The line search's constants (first step, backtrack factor,
+    Barzilai-Borwein bounds, energy tolerance) live in solver.py."""
+
     max_iters: int = 5000
-    step_init: float = 1.0
-    backtrack_factor: float = 0.5
-    tol_energy: float = 1.0e-10
     tol_residual: float = 1.0e-8
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.step_init < np.inf:  # inf stays inf as it backtracks
-            raise _RuleError("step_init", f"step_init must lie in (0, inf), got {self.step_init}")
-        for name in ("tol_energy", "tol_residual"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise _RuleError(name, f"{name} must be positive, got {value}")
-        for name, low in (("max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
-                raise _RuleError(name, f"{name} must be a whole number >= {low}, got {value}")
-        # at 1 the line search would never shrink its step
-        factor = self.backtrack_factor
-        if not 0.0 < factor < 1.0:
+        if not self.tol_residual > 0:
             raise _RuleError(
-                "backtrack_factor", f"backtrack_factor must lie in (0, 1), got {factor}"
+                "tol_residual", f"tol_residual must be positive, got {self.tol_residual}"
             )
+        _check_whole(self.max_iters, "max_iters", 1)
+        _check_whole(self.seed, "seed", 0)
+
+
+def _check_whole(value, field: str, low: int) -> None:
+    """A count or a seed: an int (or numpy integer) >= low."""
+    if not isinstance(value, (int, np.integer)):
+        raise _RuleError(field, f"{field} must be a whole number, got {value!r}")
+    if value < low:
+        raise _RuleError(field, f"{field} must be >= {low}")
 
 
 def _check_which(which: int, field: str) -> None:
     if which not in (1, 2):
         raise _RuleError(field, f"{field} must be 1 or 2, got {which}")
-
-
-def _check_restarts(restarts: int, field: str) -> None:
-    if restarts < 1:
-        raise _RuleError(field, f"{field} must be >= 1")
 
 
 @dataclass
@@ -466,14 +476,14 @@ def _descend(
     # s and y of the Barzilai-Borwein step, written in place each iteration
     steps = np.empty((2,) + state.values.shape)
     last_decrease = np.inf
-    eta0 = opts.step_init
+    eta0 = _FIRST_STEP
     converged = False
     stalled = False
     iterations = 0
 
     for _ in range(max_iters):
         residual = _residual(grad, state)
-        if last_decrease < opts.tol_energy and residual < opts.tol_residual:
+        if last_decrease < _TOL_ENERGY and residual < opts.tol_residual:
             converged = True
             break
 
@@ -488,7 +498,7 @@ def _descend(
                     pair = _trial(state, grad, eta)
                     t0, cand = nehari_project(pair, problem)
             except (NotInEPlus, BracketFailure):
-                eta *= opts.backtrack_factor
+                eta *= _BACKTRACK_FACTOR
                 continue
             trial = energy(cand, problem)
             Ec = trial.total
@@ -502,7 +512,7 @@ def _descend(
                     accepted = True
                     break
                 cand_grad = None
-            eta *= opts.backtrack_factor
+            eta *= _BACKTRACK_FACTOR
 
         if not accepted:
             # No step lowers the energy, nor the first trial the residual;
@@ -519,7 +529,7 @@ def _descend(
             cand_grad = gradient(cand, problem, preconditioned=True)
         np.subtract(cand.values, state.values, out=steps[0])
         np.subtract(cand_grad.values, grad.values, out=steps[1])
-        eta0 = _bb_step(steps[0], steps[1], opts.step_init)
+        eta0 = _bb_step(steps[0], steps[1])
         state, parts, E, grad = cand, trial, Ec, cand_grad
         iterations += 1
         t_history.append(t0)
@@ -548,18 +558,18 @@ def _residual(grad: StatePair, state: StatePair) -> float:
     return l2_norm_pair(grad) / l2_norm_pair(state)
 
 
-def _bb_step(s: np.ndarray, y: np.ndarray, step_init: float) -> float:
+def _bb_step(s: np.ndarray, y: np.ndarray) -> float:
     """First trial step of the next line search: the short Barzilai-Borwein
     step <s,y>/<y,y>, with s the change of the accepted pair and y that of
     its preconditioned gradient (stacked (2, ...) arrays, so the inner
-    products run over both components), kept within
-    [_BB_MIN, _BB_MAX] * step_init.  Without positive curvature along s
-    (<s,y> <= 0 or y = 0) it is step_init."""
+    products run over both components), kept within [_BB_MIN, _BB_MAX].
+    Without positive curvature along s (<s,y> <= 0 or y = 0) it is
+    _FIRST_STEP."""
     sy = float(np.vdot(s, y))
     yy = float(np.vdot(y, y))
     if not (sy > 0.0 and yy > 0.0):
-        return step_init
-    return min(max(sy / yy, _BB_MIN * step_init), _BB_MAX * step_init)
+        return _FIRST_STEP
+    return min(max(sy / yy, _BB_MIN), _BB_MAX)
 
 
 def _energy_rounding(parts: EnergyBreakdown) -> float:
@@ -616,7 +626,7 @@ def _best_of(solve, opts: SolverOptions, restarts: int) -> SolveReport:
     """Call solve(options) with seeds opts.seed + k for k < restarts; keep
     the first report with the lowest converged level (any converged one
     beats every unconverged one)."""
-    _check_restarts(restarts, "restarts")
+    _check_whole(restarts, "restarts", 1)
     best = None
     for k in range(restarts):
         rep = solve(dataclasses.replace(opts, seed=opts.seed + k))

@@ -21,6 +21,7 @@ from fracground import (
     render_config,
     solve_scalar_ground_state,
 )
+from fracground import cli, solver
 from fracground.cli import run
 
 
@@ -236,16 +237,14 @@ def test_solve_command_reports_nonconvergence(tmp_path):
     assert "converged = False" in (out / "report.txt").read_text(encoding="ascii")
 
 
-@pytest.mark.parametrize("step_init", ["1e300", "1e308"])
-def test_overflowing_first_step_stalls_without_warnings(tmp_path, capfd, step_init):
+@pytest.mark.parametrize("first_step", ["1e300", "1e308"])
+def test_overflowing_first_step_stalls_without_warnings(tmp_path, capfd, monkeypatch, first_step):
     # every trial of the first line search overflows: each is a failed
     # trial, so the solve stalls (exit 2) and nothing leaks to stderr
+    monkeypatch.setattr(solver, "_FIRST_STEP", float(first_step))
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    code = run(
-        ["solve", "--config", str(cfg), "--out", str(out),
-         "--set", f"solver.step_init={step_init}"]
-    )
+    code = run(["solve", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     assert "stalled = True" in (out / "report.txt").read_text(encoding="ascii")
     err = capfd.readouterr().err
@@ -370,12 +369,24 @@ def test_malformed_config_gives_config_exit(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_the_clip_has_no_config_key(tmp_path, capsys):
-    # the clip at 0 always applies, so it has no switch
-    cfg = write_config(tmp_path, BASE_CONFIG + "solver.positivity_clip = false\n")
+def test_readme_names_exactly_the_solver_keys():
+    # solver.py is the module's file name, not a key
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\bsolver\.\w+", readme)) - {"solver.py"}
+    assert named == {key for key in cli._KEYS if key.startswith("solver.")}
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["solver.positivity_clip", "solver.step_init", "solver.backtrack_factor", "solver.tol_energy"],
+)
+def test_the_clip_has_no_config_key(tmp_path, capsys, key):
+    # the clip at 0 always applies, so it has no switch; the line search's
+    # first step, backtrack factor and energy tolerance are constants
+    cfg = write_config(tmp_path, BASE_CONFIG + f"{key} = 1\n")
     code = run(["check", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
-    assert "unknown key 'solver.positivity_clip'" in capsys.readouterr().err
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_restarts_flag_validated(tmp_path, capsys):
@@ -458,15 +469,14 @@ def test_required_keys_alone_take_the_owners_defaults():
         "V2.trig_periods=1,-2", "V1.perturbation_amplitude=0.1",
         "coupling.perturbation_width=-1", "coupling.perturbation_width=0",
         "nl1.kind=cubic", "nl1.gamma=0.5", "nl2.gamma=nan", "nl2.gamma=inf",
-        "solver.max_iters=0", "solver.step_init=0", "solver.step_init=inf",
-        "solver.backtrack_factor=1.0",
-        "solver.backtrack_factor=0", "solver.tol_energy=-1", "solver.tol_residual=nan",
+        "solver.max_iters=0", "solver.tol_residual=nan",
         "scalar.which=3",
         "V1.base=inf", "coupling.base=nan", "coupling.perturbation_width=inf",
         "nl1.kind=pure_power nl1.p=inf",
         "solver.seed=-1",
         "sweep.scales=0.5,0.2", "sweep.scales=-0.1,0.2", "sweep.scales=nan",
         "limit.scales=0.1,0.5", "limit.scales=0.5,0", "limit.scales=nan",
+        "sweep.scales=0.1,inf", "limit.scales=inf,0.1",
         "V1.kind=periodic_trig V1.trig_amplitude=0.1 L=8.5",
         "V1.kind=periodic_trig V1.trig_amplitude=0.1 V1.trig_periods=1,2,3",
     ],
@@ -559,19 +569,6 @@ def test_module_entry_point_runs_the_cli(tmp_path, monkeypatch, capsys):
         runpy.run_module("fracground", run_name="__main__")
     assert exc.value.code == 0
     assert "overall: pass" in capsys.readouterr().out
-
-
-def test_backtrack_factor_one_is_refused_before_solving(tmp_path, capsys):
-    # with factor 1 the line search never shrinks its step and the solve hangs
-    cfg = write_config(tmp_path)
-    out = tmp_path / "out"
-    code = run(
-        ["solve", "--config", str(cfg), "--out", str(out),
-         "--set", "solver.backtrack_factor=1.0"]
-    )
-    assert code == 1
-    assert "key 'solver.backtrack_factor'" in capsys.readouterr().err
-    assert not (out / "report.txt").exists()
 
 
 DEGENERATE_VALUES = ["inf", "nan", "-1", "0", "1e400", "", "abc", "-inf", "1,x"]

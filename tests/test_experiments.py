@@ -17,10 +17,12 @@ from fracground import (
     decoupling_limit,
     lambda_sweep,
     make_grid,
+    solve_with_restarts,
     validate_assumptions,
     write_sweep_csv,
 )
 from fracground.experiments import CSV_HEADER, render_rows_csv
+from fracground.grid import _RuleError
 from helpers import constant_problem, constant_spec, count_ladder_evaluations
 
 
@@ -105,6 +107,26 @@ def test_sweep_rejects_bad_scales():
         lambda_sweep(prob, (0.5, 0.2), opts=FAST)
     with pytest.raises(ValueError, match=">= 1"):
         lambda_sweep(prob, (0.5, 1.3), opts=FAST)
+
+
+@pytest.mark.parametrize(
+    "driver, scales",
+    [(lambda_sweep, [0.1, float("inf")]), (decoupling_limit, [float("inf"), 0.1])],
+)
+def test_non_finite_scales_are_refused_as_scales(driver, scales):
+    # refused with the other scale rules, before the coupling is scaled
+    prob = constant_problem(v1=1.0, v2=1.5, lam=1.0)
+    with pytest.raises(_RuleError, match="finite") as exc:
+        driver(prob, scales, opts=FAST)
+    assert exc.value.field == "scales"
+
+
+@pytest.mark.parametrize("restarts", [2.5, float("nan"), "2", 0])
+@pytest.mark.parametrize("driver", [solve_with_restarts, compare_periodic_limit])
+def test_restarts_must_be_a_whole_number_at_least_one(driver, restarts):
+    with pytest.raises(_RuleError) as exc:
+        driver(constant_problem(), opts=FAST, restarts=restarts)
+    assert exc.value.field == "restarts"
 
 
 # ---------------------------------------------------------------------------

@@ -550,12 +550,13 @@ def test_solve_not_converged_when_starved():
     assert not rep.converged
 
 
-@pytest.mark.parametrize("step_init", [1e300, 1e308])
-def test_overflowing_trials_are_failed_trials(step_init):
+@pytest.mark.parametrize("first_step", [1e300, 1e308])
+def test_overflowing_trials_are_failed_trials(monkeypatch, first_step):
     # trials this long overflow; each has a non-finite quadratic form, so
     # its projection fails and the line search backtracks, silently (the
     # suite turns RuntimeWarning into an error), until it gives up
-    rep = solve_ground_state(constant_problem(), opts=SolverOptions(step_init=step_init))
+    monkeypatch.setattr(solver, "_FIRST_STEP", first_step)
+    rep = solve_ground_state(constant_problem())
     assert rep.stalled and not rep.converged and rep.iterations == 0
     assert np.isfinite(rep.level)
     assert np.isfinite(rep.nehari_residual) and np.isfinite(rep.gradient_residual)
@@ -624,16 +625,15 @@ def test_bb_step_falls_back_and_clips():
         return np.array(rows)
 
     # no positive curvature along s, or no change of the gradient
-    assert step(s, y([-1.0, 0.0], [0.0, 0.0]), 0.7) == 0.7
-    assert step(s, y([0.0, 3.0], [0.0, 0.0]), 0.7) == 0.7
-    assert step(s, np.zeros((2, 2)), 0.7) == 0.7
+    assert step(s, y([-1.0, 0.0], [0.0, 0.0])) == solver._FIRST_STEP
+    assert step(s, y([0.0, 3.0], [0.0, 0.0])) == solver._FIRST_STEP
+    assert step(s, np.zeros((2, 2))) == solver._FIRST_STEP
     # inner products sum over both components: <s,y> = 1.5, <y,y> = 2
-    assert step(s, y([1.0, 0.0], [1.0, 0.0]), 1.0) == 0.75
-    assert step(s, y([1.0, 0.0], [1.0, 0.0]), 0.01) == 0.75
-    # kept within [1e-3, 1e3] * step_init
-    assert step(s, y([1e6, 0.0], [0.0, 0.0]), 2.0) == 2.0e-3
-    assert step(s, y([1e-6, 0.0], [0.0, 0.0]), 2.0) == 2.0e3
-    assert step(s, y([1.0, 0.0], [1.0, 0.0]), 1e-4) == 0.1
+    assert step(s, y([1.0, 0.0], [1.0, 0.0])) == 0.75
+    assert step(s, y([0.0, 0.0], [1.0, 0.0])) == 0.5
+    # kept within [1e-3, 1e3]
+    assert step(s, y([1e6, 0.0], [0.0, 0.0])) == 1.0e-3
+    assert step(s, y([1e-6, 0.0], [0.0, 0.0])) == 1.0e3
 
 
 def test_bb_step_at_least_halves_the_outer_iterations():
@@ -728,16 +728,9 @@ def test_diagnostics_summary_renders(diagnosed):
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("backtrack_factor", 1.0),
-        ("backtrack_factor", 1.5),
-        ("backtrack_factor", 0.0),
-        ("backtrack_factor", float("nan")),
         ("max_iters", 0),
         ("max_iters", 2.5),
         ("seed", -1),
-        ("step_init", -1.0),
-        ("step_init", float("inf")),
-        ("tol_energy", 0.0),
         ("tol_residual", float("nan")),
     ],
 )
