@@ -68,15 +68,6 @@ class ConfigError(ValueError):
     """Config text violates the schema; message names key and line."""
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_int_list(text: str) -> tuple:
     return tuple(int(part.strip()) for part in text.split(","))
 
@@ -129,7 +120,6 @@ _KEYS = {
     "L": ("grid", "box_length", float),
     "s1": ("problem", "s1", float),
     "s2": ("problem", "s2", float),
-    "periodic_reference": ("problem", "periodic_reference", _parse_bool),
     **{
         f"{owner}.{suffix}": (owner, field, parse)
         for owner in ("V1", "V2", "coupling")
@@ -238,8 +228,6 @@ def parse_config(text: str, overrides=()) -> ParsedConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -391,6 +379,7 @@ def run(argv) -> int:
     try:
         cfg = parse_config(text, overrides=args.overrides)
         if args.seed is not None:
+            _check_whole(args.seed, "--seed", 0)
             cfg = dataclasses.replace(
                 cfg, options=dataclasses.replace(cfg.options, seed=args.seed)
             )

@@ -122,9 +122,6 @@ class StatePair:
             out.__dict__["_quad"] = (problem, tuple(t * t * q for q in parts))
         return out
 
-    def has_positive_part(self) -> bool:
-        return bool(np.max(self.values) > 0.0)
-
 
 @dataclass(frozen=True)
 class EnergyBreakdown:

@@ -197,7 +197,8 @@ def compare_periodic_limit(
     opts: SolverOptions | None = None,
     restarts: int = 1,
 ) -> CompareReport:
-    """Ground-state level of the perturbed system vs its periodic reference.
+    """Ground-state level of the perturbed system vs its periodic reference,
+    ``problem.without_perturbations()``.
 
     Lowered potentials and raised coupling must push the level strictly
     down; ordering_holds records whether the computed gap clears a margin
@@ -212,12 +213,8 @@ def compare_periodic_limit(
         _, wrong_way, detail = _perturbation_sign(spec, problem.grid, lowers)
         if wrong_way:
             raise PerturbationSignViolation(f"{name}: {detail}")
-    periodic = solve_with_restarts(
-        problem.with_periodic_reference(True), opts=opts, restarts=restarts
-    )
-    perturbed = solve_with_restarts(
-        problem.with_periodic_reference(False), opts=opts, restarts=restarts
-    )
+    periodic = solve_with_restarts(problem.without_perturbations(), opts=opts, restarts=restarts)
+    perturbed = solve_with_restarts(problem, opts=opts, restarts=restarts)
     margin = max(1.0e-8, 1.0e-4 * abs(periodic.level))
     return CompareReport(
         level_periodic=periodic.level,

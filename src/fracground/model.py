@@ -136,13 +136,11 @@ def _axis_periods(spec: ScalarFunctionSpec, grid: Grid, name: str = "spec") -> t
     return m * grid.dim if len(m) == 1 else m
 
 
-def sample_function(
-    spec: ScalarFunctionSpec, grid: Grid, include_perturbation: bool = True
-) -> Field:
-    """Sample a scalar function spec on a grid.
+def sample_function(spec: ScalarFunctionSpec, grid: Grid) -> Field:
+    """Sample a scalar function spec on a grid, its perturbation included.
 
-    include_perturbation=False drops the Gaussian part, yielding the
-    periodic reference function.
+    The periodic part alone is the sample of the spec with
+    perturbation_amplitude 0 (see ProblemSpec.without_perturbations).
     """
     if spec.kind == "constant":
         return Field(grid, np.full(grid.shape, spec.base_constant))
@@ -154,7 +152,7 @@ def sample_function(
         for m, x in zip(periods, coords):
             trig = trig * np.cos(2.0 * np.pi * m * x)
         vals = vals + spec.trig_amplitude * trig
-    if spec.has_perturbation and include_perturbation and spec.perturbation_amplitude != 0.0:
+    if spec.has_perturbation and spec.perturbation_amplitude != 0.0:
         vals = vals + spec.perturbation_amplitude * gaussian_bump(
             grid, spec.perturbation_width
         )
@@ -448,13 +446,13 @@ def nonlinearity_eval(nl: NonlinearitySpec, t: float) -> tuple:
 class ProblemSpec:
     """A linearly coupled system of two fractional components on one grid.
 
-    periodic_reference selects which pair of weights the energy sees: the
-    full (possibly perturbed) potentials and coupling, or their periodic
-    parts only.  Periodic weights must fit the grid (see _axis_periods) on
-    construction.  Sampled weights, the hypothesis audit, the gradient's
-    preconditioner (the per-mode inverse of the coupled linear part with
-    mean weights), the coarse problem of a cold solve and the per-component
-    inputs stacked along a first axis of length 2, as a StatePair holds its
+    The energy sees the weights as named, perturbations included; the
+    periodic limit of the problem is ``without_perturbations()``.  Periodic
+    weights must fit the grid (see _axis_periods) on construction.  Sampled
+    weights, the hypothesis audit, the gradient's preconditioner (the
+    per-mode inverse of the coupled linear part with mean weights), the
+    coarse problem of a cold solve and the per-component inputs stacked
+    along a first axis of length 2, as a StatePair holds its
     components, are derived once and cached on the instance.  It is the one
     owner of arrays that depend on the orders s1, s2 (multiplier symbols,
     Parseval weights, preconditioner); the grid computes them per call.
@@ -468,7 +466,6 @@ class ProblemSpec:
     coupling: ScalarFunctionSpec
     nl1: NonlinearitySpec
     nl2: NonlinearitySpec
-    periodic_reference: bool = False
 
     def __post_init__(self):
         _check_order(self.s1, "s1")
@@ -562,15 +559,15 @@ class ProblemSpec:
 
     @cached_property
     def V1_field(self) -> Field:
-        return sample_function(self.V1, self.grid, not self.periodic_reference)
+        return sample_function(self.V1, self.grid)
 
     @cached_property
     def V2_field(self) -> Field:
-        return sample_function(self.V2, self.grid, not self.periodic_reference)
+        return sample_function(self.V2, self.grid)
 
     @cached_property
     def coupling_field(self) -> Field:
-        return sample_function(self.coupling, self.grid, not self.periodic_reference)
+        return sample_function(self.coupling, self.grid)
 
     @cached_property
     def delta_eff(self) -> float:
@@ -590,12 +587,17 @@ class ProblemSpec:
     def with_coupling_scale(self, factor: float) -> "ProblemSpec":
         return dataclasses.replace(self, coupling=self.coupling.scaled(factor))
 
-    def with_periodic_reference(self, flag: bool) -> "ProblemSpec":
-        """This problem on the chosen weights; itself, with its cached
-        fields, when the flag is unchanged."""
-        if bool(flag) == self.periodic_reference:
+    def without_perturbations(self) -> "ProblemSpec":
+        """The periodic limit: this problem with every weight's
+        perturbation_amplitude 0; itself, with its cached fields, when no
+        weight has a perturbation."""
+        weights = ("V1", "V2", "coupling")
+        if all(getattr(self, w).perturbation_amplitude == 0.0 for w in weights):
             return self
-        return dataclasses.replace(self, periodic_reference=bool(flag))
+        periodic = {
+            w: dataclasses.replace(getattr(self, w), perturbation_amplitude=0.0) for w in weights
+        }
+        return dataclasses.replace(self, **periodic)
 
     def subcritical_bound(self, s: float) -> float:
         """Critical exponent 2N/(N-2s) for this grid dimension, inf if N <= 2s."""
@@ -676,8 +678,7 @@ def _audit(problem: ProblemSpec) -> ValidationReport:
     def check(name: str, passed: bool, detail: str) -> None:
         checks.append(CheckResult(name, passed, detail))
 
-    periodic = problem.with_periodic_reference(True)
-    perturbed = problem.with_periodic_reference(False)
+    periodic = problem.without_perturbations()
 
     # Periodic potentials bounded below by a positive constant.
     v_p = min(float(np.min(V.values)) for V in (periodic.V1_field, periodic.V2_field))
@@ -700,7 +701,7 @@ def _audit(problem: ProblemSpec) -> ValidationReport:
     # Perturbed potentials sit strictly below the periodic ones and stay
     # positive.  Exact equality (zero perturbation) is degenerate but not a
     # sign violation.
-    v_0 = min(float(np.min(V.values)) for V in (perturbed.V1_field, perturbed.V2_field))
+    v_0 = min(float(np.min(V.values)) for V in (problem.V1_field, problem.V2_field))
     constants["V_0"] = v_0
     signs = [
         (name, _perturbation_sign(spec, grid, lowers=True))
@@ -715,7 +716,7 @@ def _audit(problem: ProblemSpec) -> ValidationReport:
 
     # Perturbed coupling sits at or above the periodic one; strict where a
     # perturbation is declared.  Size bound via the pointwise delta.
-    delta_e = perturbed.delta_eff
+    delta_e = problem.delta_eff
     constants["delta_perturbed"] = delta_e
     coup_ok, _, cdetail = _perturbation_sign(problem.coupling, grid, lowers=False)
     check(

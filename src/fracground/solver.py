@@ -165,8 +165,8 @@ class SolverOptions:
 
 
 def _check_whole(value, field: str, low: int) -> None:
-    """A count or a seed: an int (or numpy integer) >= low."""
-    if not isinstance(value, (int, np.integer)):
+    """A count or a seed: an int (or numpy integer), not a bool, >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise _RuleError(field, f"{field} must be a whole number, got {value!r}")
     if value < low:
         raise _RuleError(field, f"{field} must be >= {low}")

@@ -378,11 +378,15 @@ def test_readme_names_exactly_the_solver_keys():
 
 @pytest.mark.parametrize(
     "key",
-    ["solver.positivity_clip", "solver.step_init", "solver.backtrack_factor", "solver.tol_energy"],
+    [
+        "solver.positivity_clip", "solver.step_init", "solver.backtrack_factor",
+        "solver.tol_energy", "periodic_reference",
+    ],
 )
 def test_the_clip_has_no_config_key(tmp_path, capsys, key):
     # the clip at 0 always applies, so it has no switch; the line search's
-    # first step, backtrack factor and energy tolerance are constants
+    # first step, backtrack factor and energy tolerance are constants; a
+    # periodic problem is written with zero perturbation amplitudes
     cfg = write_config(tmp_path, BASE_CONFIG + f"{key} = 1\n")
     code = run(["check", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
@@ -397,6 +401,15 @@ def test_restarts_flag_validated(tmp_path, capsys):
     )
     assert code == 1
     assert "restarts" in capsys.readouterr().err
+
+
+def test_seed_flag_validated_under_its_own_name(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    code = run(
+        ["solve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]
+    )
+    assert code == 1
+    assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 def level_of(report_text):
@@ -455,7 +468,6 @@ def test_required_keys_alone_take_the_owners_defaults():
     assert p.V1 == ScalarFunctionSpec("constant")
     assert p.V2 == ScalarFunctionSpec("periodic_trig")
     assert p.coupling == ScalarFunctionSpec("periodic_plus_perturbation")
-    assert p.periodic_reference is False
     assert cfg == ParsedConfig(p, SolverOptions())
 
 

@@ -344,9 +344,6 @@ def test_state_pair_helpers():
     ones = StatePair(Field(g, np.ones(g.shape)), Field(g, np.ones(g.shape)))
     doubled = ones.scaled(2.0)
     assert np.all(doubled.u.values == 2.0)
-    assert ones.has_positive_part()
-    neg = StatePair(Field(g, -np.ones(g.shape)), Field(g, np.zeros(g.shape)))
-    assert not neg.has_positive_part()
 
 
 def test_grid_mismatch_rejected():
@@ -374,8 +371,8 @@ def test_energy_respects_periodic_reference_flag():
         ),
     )
     state = smooth_pair(pert, 5)
-    full = energy(state, pert.with_periodic_reference(False)).total
-    ref = energy(state, pert.with_periodic_reference(True)).total
+    full = energy(state, pert).total
+    ref = energy(state, pert.without_perturbations()).total
     # the lowered potential strictly lowers the quadratic part for any
     # state that is nonzero near the center
     assert full < ref
@@ -446,7 +443,7 @@ def test_gradient_real_transform_matches_complex_reference(dim, n, s, kind, prec
     "problem",
     [
         perturbed_problem(),
-        perturbed_problem().with_periodic_reference(True),
+        perturbed_problem().without_perturbations(),
         constant_problem(lam=0.99 * np.sqrt(1.5)),
     ],
     ids=["perturbed", "periodic_reference", "constant_delta_0.99"],

@@ -17,6 +17,7 @@ from fracground import (
 )
 from fracground.model import gaussian_bump, perturbation_values
 from helpers import constant_problem, constant_spec
+from test_acceptance import perturbed_problem
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def test_nonlinearity_spec_validation():
 
 def test_sample_constant():
     g = make_grid(2, 16, 8.0)
-    f = sample_function(constant_spec(1.5), g, include_perturbation=True)
+    f = sample_function(constant_spec(1.5), g)
     assert np.all(f.values == 1.5)
 
 
@@ -286,7 +287,7 @@ def test_sample_trig_range():
     spec = ScalarFunctionSpec(
         kind="periodic_trig", base_constant=2.0, trig_amplitude=1.0, trig_periods=(1, 2)
     )
-    f = sample_function(spec, g, include_perturbation=True)
+    f = sample_function(spec, g)
     assert f.values.min() == pytest.approx(1.0, abs=1e-12)
     assert f.values.max() == pytest.approx(3.0, abs=1e-12)
     # value at the origin is base + amplitude
@@ -299,7 +300,7 @@ def test_sample_trig_requires_whole_periods():
         kind="periodic_trig", base_constant=1.0, trig_amplitude=0.5, trig_periods=(1,)
     )
     with pytest.raises(ValueError, match="whole number"):
-        sample_function(spec, g, include_perturbation=False)
+        sample_function(dataclasses.replace(spec, perturbation_amplitude=0.0), g)
 
 
 def test_sample_perturbation_center_value():
@@ -312,8 +313,8 @@ def test_sample_perturbation_center_value():
         perturbation_amplitude=-0.25,
         perturbation_width=0.5,
     )
-    full = sample_function(spec, g, include_perturbation=True)
-    bare = sample_function(spec, g, include_perturbation=False)
+    full = sample_function(spec, g)
+    bare = sample_function(dataclasses.replace(spec, perturbation_amplitude=0.0), g)
     center = g.n_per_axis // 2
     assert full.values[center, center] == pytest.approx(0.75, abs=1e-14)
     assert np.all(bare.values == 1.0)
@@ -440,11 +441,27 @@ def test_periodic_reference_switch():
     )
     base = constant_problem()
     prob = dataclasses.replace(base, V1=spec)
-    full = prob.with_periodic_reference(False)
-    ref = prob.with_periodic_reference(True)
+    full = prob
+    ref = prob.without_perturbations()
     center = tuple([base.grid.n_per_axis // 2] * 2)
     assert full.V1_field.values[center] == pytest.approx(0.8, abs=1e-14)
     assert ref.V1_field.values[center] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_without_perturbations_is_the_periodic_view_of_the_audit():
+    # a problem with no perturbation is its own periodic limit, caches and all
+    flat = constant_problem()
+    assert flat.without_perturbations() is flat
+    # the reference's perturbed view is the original's periodic one
+    prob = perturbed_problem()
+    ref = prob.without_perturbations()
+    assert all(
+        getattr(ref, w).perturbation_amplitude == 0.0 for w in ("V1", "V2", "coupling")
+    )
+    assert ref.without_perturbations() is ref
+    mine, theirs = validate_assumptions(prob).constants, validate_assumptions(ref).constants
+    assert theirs["V_0"] == mine["V_p"]
+    assert theirs["delta_perturbed"] == mine["delta_periodic"]
 
 
 # ---------------------------------------------------------------------------

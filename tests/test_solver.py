@@ -601,6 +601,8 @@ def test_restarts_keep_best_level():
     assert multi.level <= single.level + 1e-12 * abs(single.level)
     with pytest.raises(ValueError):
         solve_with_restarts(prob, opts=FAST, restarts=0)
+    with pytest.raises(ValueError, match="restarts"):
+        solve_with_restarts(prob, opts=FAST, restarts=True)
 
 
 def test_warm_start_accepted():
@@ -730,7 +732,9 @@ def test_diagnostics_summary_renders(diagnosed):
     [
         ("max_iters", 0),
         ("max_iters", 2.5),
+        ("max_iters", True),  # bool is an int, but no iteration budget
         ("seed", -1),
+        ("seed", False),
         ("tol_residual", float("nan")),
     ],
 )
