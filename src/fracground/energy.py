@@ -95,6 +95,14 @@ class StatePair:
         return _rfftn(self.values, self.grid)
 
     @cached_property
+    def _row_min(self) -> tuple:
+        """The least value of each row, two floats: one pass over the pair on
+        first use, or carried from the pair this one was scaled from
+        (``scaled``) or set by the line-search pass that formed it
+        (solver._trial)."""
+        return tuple(self.values.reshape(2, -1).min(axis=1).tolist())
+
+    @cached_property
     def u(self) -> Field:
         return Field(self.grid, self.values[0])
 
@@ -114,12 +122,16 @@ class StatePair:
         """t times the pair; a spectrum already taken or carried is scaled
         along by t and quadratic parts already computed by t^2, so the
         scaled pair's quadratic form costs no transform, and known parts
-        are not computed again."""
+        are not computed again.  Row minima already taken are scaled along
+        by t > 0: rounding is monotone, so t times the least value is the
+        least of the scaled values, bit for bit."""
         spectrum = t * self.spectrum if "spectrum" in self.__dict__ else None
         out = StatePair._stacked(self.grid, t * self.values, spectrum)
         if "_quad" in self.__dict__:
             problem, parts = self._quad
             out.__dict__["_quad"] = (problem, tuple(t * t * q for q in parts))
+        if "_row_min" in self.__dict__ and t > 0.0:
+            out.__dict__["_row_min"] = tuple(t * m for m in self._row_min)
         return out
 
 
@@ -230,9 +242,19 @@ def gradient(
     spectrum the preconditioned gradient costs two transforms, one each
     way over both components, and the plain one one.  The preconditioned
     pair carries the mixed half spectra it was transformed back from, so a
-    step along it forms its trial's spectrum without a transform (see
-    solver._descend).
+    step along it forms its trial's spectrum without a transform.  The
+    descent mixes by a block shifted by the nonlinearity's slope instead
+    (ProblemSpec._shifted_preconditioner, solver._descent_gradient); this
+    function keeps the unshifted one.
     """
+    return _gradient(state, problem, problem._preconditioner if preconditioned else None)
+
+
+def _gradient(state: StatePair, problem: ProblemSpec, block) -> StatePair:
+    """The L^2 gradient pair, or with ``block``, three real arrays on the
+    half spectrum (p11, p12, p22), the pair whose spectra are the residual
+    spectra mixed by the symmetric per-mode block [[p11, p12], [p12, p22]]
+    (``_mix``); that pair carries the mixed spectra."""
     _check_state(state, problem)
     g = problem.grid
     w = state.values
@@ -243,20 +265,43 @@ def gradient(
     local -= np.multiply(lam, w[::-1], out=term)  # lambda times the other row
     del term
     r = problem._symbols * state.spectrum
-    if not preconditioned:
+    if block is None:
         plain = _irfftn(r, g)
         plain += local
         return StatePair._stacked(g, plain)
     r += _rfftn(local, g)
     del local
-    p11, p12, p22 = problem._preconditioner
-    # mixed in place: (p11 r0 + p12 r1, p12 r0 + p22 r1)
+    _mix(block, r)
+    return StatePair._stacked(g, _irfftn(r, g), r)
+
+
+def _mix(block: tuple, r: np.ndarray) -> np.ndarray:
+    """r, a pair of half spectra (2, *half), mixed in place by the symmetric
+    per-mode block (p11, p12, p22): (p11 r0 + p12 r1, p12 r0 + p22 r1)."""
+    p11, p12, p22 = block
     cross = p12 * r[1]
     r[1] *= p22
     r[1] += p12 * r[0]
     r[0] *= p11
     r[0] += cross
-    return StatePair._stacked(g, _irfftn(r, g), r)
+    return r
+
+
+def _linear_part(problem: ProblemSpec, shifts, x: np.ndarray) -> np.ndarray:
+    """The shifted linear part, per mode [[a - k1, -l], [-l, b - k2]],
+    applied to a pair of half spectra x; a new array.  a, b and l are those
+    of ProblemSpec._preconditioner and (k1, k2) the mode's shifts as
+    ProblemSpec._shifted_preconditioner gives them (the zero mode's first,
+    then every other mode's; None for none).  It is the inverse of the
+    block that the descent mixes by, so it maps a descent gradient's
+    spectra back to the residual spectra they were mixed from."""
+    v1, v2, lam = problem._mean_weights
+    (j1, j2), (k1, k2) = shifts or ((0.0, 0.0), (0.0, 0.0))
+    out = problem._symbols * x
+    out += np.reshape((v1 - k1, v2 - k2), (2,) + (1,) * problem.grid.dim) * x
+    out -= lam * x[::-1]
+    out.reshape(2, -1)[:, 0] += (k1 - j1, k2 - j2) * x.reshape(2, -1)[:, 0]
+    return out
 
 
 def l2_norm_pair(state: StatePair) -> float:

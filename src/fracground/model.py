@@ -61,6 +61,10 @@ SUPERLINEAR_LARGE_BOUND = 5.0
 # the centered ball of radius L/4.
 DECAY_THRESHOLD = 1.0e-6
 
+# The ProblemSpec fields that are weights (ScalarFunctionSpec).
+_WEIGHTS = ("V1", "V2", "coupling")
+
+
 class ValidationFailed(RuntimeError):
     """A solver refused to run on a problem whose validation report fails."""
 
@@ -268,6 +272,21 @@ class NonlinearitySpec:
                 out = out * (self.gamma * np.log1p(pos) ** (self.gamma - 1.0))
         return out if out.ndim else float(out)
 
+    def _slope(self, t: float) -> float:
+        """f'(t) = (dnq(t) + f(t)) / t at a scalar t > 0, in closed form, and 0
+        on t <= 0.  f' is increasing, so f'(t) bounds f' from below on
+        [t, inf).
+
+        log_power: ln(1+t)^gamma + gamma t ln(1+t)^(gamma-1) / (1+t);
+        pure_power: (p-1) t^(p-2).
+        """
+        if not t > 0.0:
+            return 0.0
+        if self.kind == "pure_power":
+            return (self.p - 1.0) * t ** (self.p - 2.0)
+        w = math.log1p(t)
+        return w**self.gamma + self.gamma * t * w ** (self.gamma - 1.0) / (1.0 + t)
+
     def F(self, t):
         """Primitive of f vanishing at 0."""
         t = np.asarray(t, dtype=np.float64)
@@ -451,9 +470,10 @@ class ProblemSpec:
     weights must fit the grid (see _axis_periods) on construction.  Sampled
     weights, the hypothesis audit, the gradient's preconditioner (the
     per-mode inverse of the coupled linear part with mean weights), the
-    coarse problem of a cold solve and the per-component inputs stacked
-    along a first axis of length 2, as a StatePair holds its
-    components, are derived once and cached on the instance.  It is the one
+    periodic limit, the coarse problem of a cold solve and the
+    per-component inputs stacked along a first axis of length 2, as a
+    StatePair holds its components, are derived once, on first use, and
+    cached on the instance.  It is the one
     owner of arrays that depend on the orders s1, s2 (multiplier symbols,
     Parseval weights, preconditioner); the grid computes them per call.
     """
@@ -470,7 +490,7 @@ class ProblemSpec:
     def __post_init__(self):
         _check_order(self.s1, "s1")
         _check_order(self.s2, "s2")
-        for name in ("V1", "V2", "coupling"):
+        for name in _WEIGHTS:
             _axis_periods(getattr(self, name), self.grid, name)
 
     @cached_property
@@ -491,17 +511,19 @@ class ProblemSpec:
         positive definite: |l| <= delta mean(sqrt(V1 V2)) <= delta
         sqrt(mean(V1) mean(V2)) by Cauchy-Schwarz, so ab - l^2 >=
         (1 - delta^2) ab > 0.  A block that is not positive definite on some
-        mode raises ValidationFailed naming the hypothesis it breaks.
+        mode raises ValidationFailed naming the hypothesis it breaks.  The
+        descent steps with this block shifted by the nonlinearity's slope
+        (``_shifted_preconditioner``); energy.gradient and the residual a
+        solve reports use it as it is.
         """
-        a = self._symbols[0] + self.mean_potential(1)
-        b = self._symbols[1] + self.mean_potential(2)
-        lam = self.mean_coupling()
+        v1, v2, lam = self._mean_weights
+        a = self._symbols[0] + v1
+        b = self._symbols[1] + v2
         if not (np.min(a) > 0.0 and np.min(b) > 0.0):  # false on nan
             raise ValidationFailed(
-                "preconditioner not positive definite: mean potentials "
-                f"{self.mean_potential(1):.6g}, {self.mean_potential(2):.6g} must be "
-                "positive (potential positivity: periodic_potentials_positive, "
-                "potential_perturbations_lower)"
+                f"preconditioner not positive definite: mean potentials {v1:.6g}, "
+                f"{v2:.6g} must be positive (potential positivity: "
+                "periodic_potentials_positive, potential_perturbations_lower)"
             )
         det = a * b - lam * lam
         if not np.min(det) > 0.0:
@@ -512,6 +534,52 @@ class ProblemSpec:
                 f"delta_eff = {self.delta_eff:.6g})"
             )
         return b / det, lam / det, a / det
+
+    def _shifted_preconditioner(self, m1: float, m2: float) -> tuple:
+        """(block, shifts): the descent's preconditioner at a state whose rows
+        have the least values m1 and m2, as ``_preconditioner`` lays it out,
+        and the diagonal shifts it subtracts.
+
+        With c_i = f_i'(m_i) (NonlinearitySpec._slope; 0 where m_i <= 0),
+        f_i'(u_i) >= c_i at every point, so the linear part shifted by
+        -c_i still dominates the linear part of the Hessian, |xi|^(2 s_i) +
+        V_i - f_i'(u_i).  Each mode's block [[a, -l], [-l, b]] becomes
+        [[a - theta c1, -l], [-l, b - theta c2]], with theta_0 on the zero
+        mode and theta_1 on every other mode: each the largest theta in
+        [0, 1] that keeps _SHIFT_KEEP of a, of b and of ab - l^2 at its
+        binding mode (``_shift_factor``).  That is the zero mode for
+        theta_0, and for theta_1 the lowest nonzero mode (the half
+        spectrum's second entry), because a and b grow with |xi| and the
+        margins with them.  ``shifts`` is ((theta_0 c1, theta_0 c2),
+        (theta_1 c1, theta_1 c2)).
+
+        A shift below _SHIFT_NEGLIGIBLE of a and of b at the lowest nonzero
+        mode, as at a localized state whose least values lie in its tail,
+        is not applied: the block is ``_preconditioner`` itself and
+        ``shifts`` is None.
+        """
+        block = self._preconditioner  # refuses a block that is not positive definite
+        c1, c2 = self.nl1._slope(m1), self.nl2._slope(m2)
+        v1, v2, lam = self._mean_weights
+        a1 = self._symbols[0].flat[1] + v1
+        b1 = self._symbols[1].flat[1] + v2
+        if c1 < _SHIFT_NEGLIGIBLE * a1 and c2 < _SHIFT_NEGLIGIBLE * b1:
+            return block, None
+        theta0 = _shift_factor(v1, v2, lam, c1, c2)
+        theta1 = _shift_factor(a1, b1, lam, c1, c2)
+        a = self._symbols[0] + (v1 - theta1 * c1)
+        b = self._symbols[1] + (v2 - theta1 * c2)
+        a.flat[0] = v1 - theta0 * c1
+        b.flat[0] = v2 - theta0 * c2
+        det = a * b - lam * lam
+        shifts = ((theta0 * c1, theta0 * c2), (theta1 * c1, theta1 * c2))
+        return (b / det, lam / det, a / det), shifts
+
+    @cached_property
+    def _mean_weights(self) -> tuple:
+        """(mean(V1), mean(V2), mean(coupling)), the weights of the
+        preconditioner's block."""
+        return self.mean_potential(1), self.mean_potential(2), self.mean_coupling()
 
     @cached_property
     def _potentials(self) -> np.ndarray:
@@ -590,12 +658,19 @@ class ProblemSpec:
     def without_perturbations(self) -> "ProblemSpec":
         """The periodic limit: this problem with every weight's
         perturbation_amplitude 0; itself, with its cached fields, when no
-        weight has a perturbation."""
-        weights = ("V1", "V2", "coupling")
-        if all(getattr(self, w).perturbation_amplitude == 0.0 for w in weights):
+        weight has a perturbation.  One instance per problem, so the fields
+        the audit samples on it, and its own audit, are taken once."""
+        if all(getattr(self, w).perturbation_amplitude == 0.0 for w in _WEIGHTS):
+            # not cached: a problem holding itself would be freed only by
+            # the cycle collector, arrays and all
             return self
+        return self._periodic
+
+    @cached_property
+    def _periodic(self) -> "ProblemSpec":
+        """``without_perturbations`` of a problem with a perturbation."""
         periodic = {
-            w: dataclasses.replace(getattr(self, w), perturbation_amplitude=0.0) for w in weights
+            w: dataclasses.replace(getattr(self, w), perturbation_amplitude=0.0) for w in _WEIGHTS
         }
         return dataclasses.replace(self, **periodic)
 
@@ -636,6 +711,37 @@ class ValidationReport:
             lines.append(f"  {key} = {self.constants[key]:.6g}")
         lines.append(f"overall: {'pass' if self.all_passed else 'fail'}")
         return "\n".join(lines)
+
+
+# The shifted preconditioner keeps at least this share of each diagonal
+# entry and of the determinant of the unshifted block, on every mode.
+_SHIFT_KEEP = 0.1
+# A slope shift below this share of both diagonal entries at the lowest
+# nonzero mode is not applied.
+_SHIFT_NEGLIGIBLE = 0.02
+
+
+def _shift_factor(a: float, b: float, lam: float, c1: float, c2: float) -> float:
+    """The largest theta in [0, 1] with a - theta c1 >= k a, b - theta c2 >=
+    k b and (a - theta c1)(b - theta c2) - lam^2 >= k (ab - lam^2), for
+    k = _SHIFT_KEEP, a, b > 0, ab > lam^2 and c1, c2 >= 0.
+
+    While both diagonal bounds hold, the determinant's margin decreases in
+    theta, so its bound is the smaller root of c1 c2 theta^2 - (a c2 + b c1)
+    theta + (1 - k)(ab - lam^2), taken in the form 2C / (B + sqrt(B^2 -
+    4AC)) that loses no digits and holds for c1 c2 = 0 too.
+    """
+    room = 1.0 - _SHIFT_KEEP
+    theta = 1.0
+    if c1 > 0.0:
+        theta = min(theta, room * a / c1)
+    if c2 > 0.0:
+        theta = min(theta, room * b / c2)
+    B = a * c2 + b * c1
+    if B > 0.0:
+        C = room * (a * b - lam * lam)
+        theta = min(theta, 2.0 * C / (B + math.sqrt(B * B - 4.0 * c1 * c2 * C)))
+    return theta
 
 
 def _perturbation_sign(spec: ScalarFunctionSpec, grid: Grid, lowers: bool) -> tuple:

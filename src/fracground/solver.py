@@ -36,17 +36,32 @@ the trial pair and accepts it once its energy is strictly lower,
 backtracking otherwise.  The preconditioner inverts, mode by mode, the
 coupled linear part with mean weights, [[|xi|^(2 s1) + mean(V1),
 -mean(lambda)], [-mean(lambda), |xi|^(2 s2) + mean(V2)]] (the coupled
-form of Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).  It costs
-no transform beyond the gradient's own, and since it sees the coupling,
-solves near the coupling bound delta -> 1 stay short.  Each line search
-starts from the short Barzilai-Borwein step <s,y>/<y,y> of the last
-accepted iteration (s the change of the pair, y that of its
-preconditioned gradient), which tracks the curvature along the path; the
-first iteration starts from the step _FIRST_STEP.
-Convergence requires both energy stagnation and a small preconditioned
-gradient residual.  Near a minimizer the energy is flat to within its own
-rounding, so there a first trial is also accepted when it raises the
-energy by no more than that rounding and lowers the residual.
+form of Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017), with its
+diagonal shifted by the nonlinearity's least slope c_i = f_i'(min u_i)
+at the accepted state (ProblemSpec._shifted_preconditioner).  That is
+their nonlinear term in the one form that never over-corrects: f' is
+increasing, so f_i'(u_i) >= c_i everywhere.  Each shift is scaled down
+until every mode keeps 10% of its diagonal entries and determinant, the
+zero mode under its own factor.  Near a constant ground state the
+shifted block is nearly the Hessian's linear part, so the slow linear
+tail of the unshifted descent disappears.  A shift below 2% of the
+lowest nonzero mode's diagonal is not applied: a localized state's least
+values lie in its tail, and its descent runs exactly as with the linear
+part alone.  The block costs no transform beyond the gradient's own, and
+since it sees the coupling, solves near the coupling bound delta -> 1
+stay short.  Each line search starts from the short Barzilai-Borwein step
+of the last accepted iteration, which tracks the curvature along the
+path; the first iteration starts from the step _FIRST_STEP.  With the
+unshifted block it is <s,y>/<y,y> (s the change of the pair, y that of
+its preconditioned gradient); once a shift is in play it is measured in
+the block's own metric (_shifted_bb_step), on the carried spectra.
+Convergence requires both energy stagnation and a small residual of the
+gradient preconditioned by the unshifted block (energy.gradient), which
+the shifted gradient's carried spectra give by Parseval without a
+transform, and only where a test reads it.  Near a minimizer the energy
+is flat to within its own rounding, so there a first trial is also
+accepted when it raises the energy by no more than that rounding and
+lowers the residual.
 
 A cold solve (no starting pair given) on n >= 64 points per axis is
 nested iteration one level deep, after the cascadic scheme of Bornemann
@@ -69,11 +84,13 @@ import numpy as np
 from .energy import (
     EnergyBreakdown,
     StatePair,
+    _gradient,
+    _linear_part,
+    _mix,
     _nonlinear_pairing,
     _quadratic_parts,
     coupled_quadratic,
     energy,
-    gradient,
     l2_norm_pair,
 )
 from .grid import Field, Grid, _RuleError, _irfftn, _rfftn
@@ -187,6 +204,9 @@ class SolveReport:
     by the fine ones, so it always has iterations + 1 entries.
     ``resolution_gap`` is |E_n - E_n/2| / |E_n| between the fine level and
     the coarse one, or None when no coarse level ran.
+    ``gradient_residual`` is |g| / |state| for g the state's gradient
+    preconditioned by the unshifted block, energy.gradient(state, problem,
+    preconditioned=True), whatever block the descent stepped with.
     """
 
     state: StatePair
@@ -363,14 +383,14 @@ def _finish_report(
     t_history: list,
 ) -> SolveReport:
     """The report of the accepted pair ``state``, read from its energy
-    breakdown ``parts`` and preconditioned gradient ``grad``."""
+    breakdown ``parts`` and descent gradient ``grad``."""
     Q = parts.quad_u + parts.quad_v - parts.coupling_term
     nres = abs(Q - _nonlinear_pairing(state, problem)) / Q if Q > 0.0 else np.inf
     return SolveReport(
         state=state,
         level=parts.total,
         nehari_residual=nres,
-        gradient_residual=_residual(grad, state),
+        gradient_residual=_residual(grad, state, problem),
         iterations=iterations,
         positive_fraction_u=_positive_fraction(state.u.values),
         positive_fraction_v=_positive_fraction(state.v.values),
@@ -472,7 +492,7 @@ def _descend(
     t_history = [t0]
     parts = energy(state, problem)
     E = parts.total
-    grad = gradient(state, problem, preconditioned=True)
+    grad = _descent_gradient(state, problem)
     # s and y of the Barzilai-Borwein step, written in place each iteration
     steps = np.empty((2,) + state.values.shape)
     last_decrease = np.inf
@@ -482,8 +502,7 @@ def _descend(
     iterations = 0
 
     for _ in range(max_iters):
-        residual = _residual(grad, state)
-        if last_decrease < _TOL_ENERGY and residual < opts.tol_residual:
+        if last_decrease < _TOL_ENERGY and _residual(grad, state, problem) < opts.tol_residual:
             converged = True
             break
 
@@ -507,8 +526,8 @@ def _descend(
                 break
             if eta == eta0 and Ec <= E + _energy_rounding(trial):
                 # the energy cannot resolve this step; the residual can
-                cand_grad = gradient(cand, problem, preconditioned=True)
-                if _residual(cand_grad, cand) < residual:
+                cand_grad = _descent_gradient(cand, problem)
+                if _residual(cand_grad, cand, problem) < _residual(grad, state, problem):
                     accepted = True
                     break
                 cand_grad = None
@@ -518,7 +537,7 @@ def _descend(
             # No step lowers the energy, nor the first trial the residual;
             # the energy is stationary to machine precision, so the
             # residual alone decides.
-            if residual < opts.tol_residual:
+            if _residual(grad, state, problem) < opts.tol_residual:
                 converged = True
             else:
                 stalled = True
@@ -526,10 +545,13 @@ def _descend(
 
         last_decrease = (E - Ec) / max(abs(E), abs(Ec), 1.0e-300)
         if cand_grad is None:
-            cand_grad = gradient(cand, problem, preconditioned=True)
-        np.subtract(cand.values, state.values, out=steps[0])
-        np.subtract(cand_grad.values, grad.values, out=steps[1])
-        eta0 = _bb_step(steps[0], steps[1])
+            cand_grad = _descent_gradient(cand, problem)
+        if grad._shifts is None and cand_grad._shifts is None:
+            np.subtract(cand.values, state.values, out=steps[0])
+            np.subtract(cand_grad.values, grad.values, out=steps[1])
+            eta0 = _bb_step(steps[0], steps[1])
+        else:
+            eta0 = _shifted_bb_step(state, grad, cand, cand_grad, problem)
         state, parts, E, grad = cand, trial, Ec, cand_grad
         iterations += 1
         t_history.append(t0)
@@ -538,24 +560,71 @@ def _descend(
 
 
 def _trial(state: StatePair, grad: StatePair, eta: float) -> StatePair:
-    """The trial pair state - eta grad, clipped at 0 (a weakly coupled cold
-    solve then takes 36 iterations, not 45).  A trial the clip leaves alone
-    carries the state's spectrum minus eta times the gradient's, so it
-    takes no transform; a trial the clip changes carries none, and its
+    """The trial pair state - eta grad, clipped at 0, which keeps the
+    trials where f vanishes out of the nonlinear terms.  The pass that
+    decides the clip takes each row's least value, which the trial keeps
+    (StatePair._row_min; 0 where the clip acted).  A trial the clip leaves
+    alone carries the state's spectrum minus eta times the gradient's, so
+    it takes no transform; a trial the clip changes carries none, and its
     projection takes it over both rows in one call."""
     values = eta * grad.values
     np.subtract(state.values, values, out=values)
-    if values.min() < 0.0:
+    low = values.reshape(2, -1).min(axis=1)
+    if low.min() < 0.0:
         np.maximum(values, 0.0, out=values)
-        return StatePair._stacked(state.grid, values)
-    spectrum = eta * grad.spectrum
-    np.subtract(state.spectrum, spectrum, out=spectrum)
-    return StatePair._stacked(state.grid, values, spectrum)
+        np.maximum(low, 0.0, out=low)
+        pair = StatePair._stacked(state.grid, values)
+    else:
+        spectrum = eta * grad.spectrum
+        np.subtract(state.spectrum, spectrum, out=spectrum)
+        pair = StatePair._stacked(state.grid, values, spectrum)
+    pair.__dict__["_row_min"] = tuple(low.tolist())
+    return pair
 
 
-def _residual(grad: StatePair, state: StatePair) -> float:
-    """Relative size of a pair's preconditioned gradient."""
-    return l2_norm_pair(grad) / l2_norm_pair(state)
+def _descent_gradient(state: StatePair, problem: ProblemSpec) -> StatePair:
+    """The state's gradient preconditioned by the block shifted by the
+    nonlinearity's slope at the least value of each row
+    (ProblemSpec._shifted_preconditioner), refreshed at every state the
+    descent accepts.  The pair keeps the shifts its block subtracts as
+    ``_shifts`` (None when the block is the unshifted one), which
+    ``_residual`` undoes."""
+    block, shifts = problem._shifted_preconditioner(*state._row_min)
+    grad = _gradient(state, problem, block)
+    grad.__dict__["_shifts"] = shifts
+    return grad
+
+
+def _residual(grad: StatePair, state: StatePair, problem: ProblemSpec) -> float:
+    """Relative size of the state's gradient preconditioned by the unshifted
+    block (energy.gradient with preconditioned=True), taken on first use and
+    kept on the state's descent gradient ``grad``.
+
+    Where the descent's block subtracted no shift, that is |grad| / |state|.
+    Otherwise grad's spectra are mapped back to the residual spectra
+    (energy._linear_part with grad's shifts) and mixed by the unshifted
+    block, and the norm follows by Parseval from the half spectrum, with no
+    transform.
+    """
+    cached = grad.__dict__.get("_residual")
+    if cached is not None:
+        return cached
+    if grad._shifts is None:
+        norm = l2_norm_pair(grad)
+    else:
+        plain = _mix(problem._preconditioner, _linear_part(problem, grad._shifts, grad.spectrum))
+        norm = float(np.sqrt(_spectral_dot(plain, plain, state.grid)))
+    grad.__dict__["_residual"] = out = norm / l2_norm_pair(state)
+    return out
+
+
+def _spectral_dot(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+    """The L^2 x L^2 inner product of the real pairs whose half spectra
+    (``rfftn`` over the grid axes) are a and b, by Parseval: the last axis's
+    modes other than 0 and n/2 stand for conjugate pairs and count twice."""
+    x, y = a.view(np.float64), b.view(np.float64)  # real, imaginary interleaved
+    edges = np.vdot(x[..., :2], y[..., :2]) + np.vdot(x[..., -2:], y[..., -2:])
+    return float(grid.cell_volume / grid.npoints * (2.0 * np.vdot(x, y) - edges))
 
 
 def _bb_step(s: np.ndarray, y: np.ndarray) -> float:
@@ -565,8 +634,35 @@ def _bb_step(s: np.ndarray, y: np.ndarray) -> float:
     products run over both components), kept within [_BB_MIN, _BB_MAX].
     Without positive curvature along s (<s,y> <= 0 or y = 0) it is
     _FIRST_STEP."""
-    sy = float(np.vdot(s, y))
-    yy = float(np.vdot(y, y))
+    return _bb_ratio(float(np.vdot(s, y)), float(np.vdot(y, y)))
+
+
+def _shifted_bb_step(
+    state: StatePair,
+    grad: StatePair,
+    cand: StatePair,
+    cand_grad: StatePair,
+    problem: ProblemSpec,
+) -> float:
+    """``_bb_step`` after a step where either gradient's block was shifted:
+    <s,r>/<g,r> with s the change of the pair, g that of its descent
+    gradient and r that of the plain gradient, each gradient mapped back
+    through its own block (energy._linear_part).  With one fixed block P
+    this is the short step <s,r>/<r,Pr> in P's own metric; measured in L^2
+    instead, as ``_bb_step`` is, the change of the gradient along modes
+    that a nearly singular shifted block amplifies dominates <y,y> and
+    shrinks the step to a crawl.  The inner products are taken on the
+    carried spectra (``_spectral_dot``), with no transform."""
+    g = problem.grid
+    r = _linear_part(problem, cand_grad._shifts, cand_grad.spectrum)
+    r -= _linear_part(problem, grad._shifts, grad.spectrum)
+    sr = _spectral_dot(cand.spectrum - state.spectrum, r, g)
+    return _bb_ratio(sr, _spectral_dot(cand_grad.spectrum - grad.spectrum, r, g))
+
+
+def _bb_ratio(sy: float, yy: float) -> float:
+    """sy / yy kept within [_BB_MIN, _BB_MAX], or _FIRST_STEP unless both are
+    positive."""
     if not (sy > 0.0 and yy > 0.0):
         return _FIRST_STEP
     return min(max(sy / yy, _BB_MIN), _BB_MAX)

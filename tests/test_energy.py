@@ -483,6 +483,56 @@ def test_block_preconditioner_inverts_the_constant_weight_linear_part(dim, n, s1
     assert np.max(np.abs(back_v - plain.v.values)) <= 1e-13 * scale
 
 
+def test_shifted_block_keeps_its_margins_on_every_mode():
+    # over the orders, the coupling and the row minima m1, m2 >= 0: every
+    # mode of the descent's block [[a - k1, -l], [-l, b - k2]] keeps at
+    # least 10% of a, of b and of ab - l^2 (the zero mode under its own
+    # shifts), and the preconditioner is its inverse; a negligible shift
+    # leaves the unshifted preconditioner itself
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(
+        max_examples=80, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(
+        s1=st.floats(0.1, 1.0),
+        s2=st.floats(0.1, 1.0),
+        delta=st.floats(-0.99, 0.99),
+        m1=st.one_of(st.just(0.0), st.floats(0.0, 1.0e3)),
+        m2=st.one_of(st.just(0.0), st.floats(0.0, 1.0e3)),
+        nl_kind=st.sampled_from(["log_power", "pure_power"]),
+    )
+    def check(s1, s2, delta, m1, m2, nl_kind):
+        base = constant_problem(
+            dim=2, n=16, s=s1, lam=delta * np.sqrt(1.5), nl_kind=nl_kind, gamma=1.5, p=3.0
+        )
+        prob = dataclasses.replace(base, s2=s2)
+        block, shifts = prob._shifted_preconditioner(m1, m2)
+        a = prob.grid.symbol(s1) + 1.0
+        b = prob.grid.symbol(s2) + 1.5
+        lam = delta * np.sqrt(1.5)
+        if shifts is None:
+            assert block is prob._preconditioner
+            return
+        (j1, j2), (k1, k2) = shifts
+        A, B = a - k1, b - k2
+        A.flat[0], B.flat[0] = a.flat[0] - j1, b.flat[0] - j2
+        keep = 0.1 * (1.0 - 1e-12)
+        assert np.all(A >= keep * a) and np.all(B >= keep * b)
+        assert np.all(A * B - lam * lam >= keep * (a * b - lam * lam))
+        # each shift is theta times the slope at the row's least value
+        c1, c2 = prob.nl1._slope(m1), prob.nl2._slope(m2)
+        for shift, c in ((j1, c1), (k1, c1), (j2, c2), (k2, c2)):
+            assert 0.0 <= shift <= c
+        p11, p12, p22 = block
+        det = A * B - lam * lam
+        for got, want in ((p11, B / det), (p12, lam / det), (p22, A / det)):
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    check()
+
+
 @pytest.mark.parametrize(
     "problem,check",
     [

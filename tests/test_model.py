@@ -15,6 +15,7 @@ from fracground import (
     sample_function,
     validate_assumptions,
 )
+from fracground import model
 from fracground.model import gaussian_bump, perturbation_values
 from helpers import constant_problem, constant_spec
 from test_acceptance import perturbed_problem
@@ -462,6 +463,27 @@ def test_without_perturbations_is_the_periodic_view_of_the_audit():
     mine, theirs = validate_assumptions(prob).constants, validate_assumptions(ref).constants
     assert theirs["V_0"] == mine["V_p"]
     assert theirs["delta_perturbed"] == mine["delta_periodic"]
+
+
+def test_periodic_reference_is_one_problem_sampled_by_the_audit(monkeypatch):
+    # the periodic limit is derived once per problem, so the weights the
+    # perturbed problem's audit samples on it are the ones its own audit
+    # and a solve of it (compare_periodic_limit) read: none is sampled again
+    prob = perturbed_problem()
+    assert validate_assumptions(prob).all_passed
+    ref = prob.without_perturbations()
+    assert ref is prob.without_perturbations() and ref is not prob
+    assert {"V1_field", "V2_field", "coupling_field"} <= ref.__dict__.keys()
+    sampled = []
+    sample = model.sample_function
+
+    def counted(spec, grid):
+        sampled.append(spec)
+        return sample(spec, grid)
+
+    monkeypatch.setattr(model, "sample_function", counted)
+    assert validate_assumptions(prob.without_perturbations()).all_passed
+    assert sampled == []
 
 
 # ---------------------------------------------------------------------------

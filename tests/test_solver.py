@@ -17,7 +17,9 @@ from fracground import (
     ValidationFailed,
     coupled_quadratic,
     energy,
+    gradient,
     integrate,
+    l2_norm_pair,
     make_grid,
     mountain_pass_diagnostics,
     nehari_project,
@@ -274,18 +276,18 @@ def test_solve_computes_each_gradient_once(monkeypatch):
     # drives the solve into that fallback
     seen = []
     flat_checks = []
-    grad = solver.gradient
+    grad = solver._descent_gradient
     rounding = solver._energy_rounding
 
-    def recorded(state, problem, preconditioned=False):
+    def recorded(state, problem):
         seen.append(state.u.values)
-        return grad(state, problem, preconditioned)
+        return grad(state, problem)
 
     def counted(parts):
         flat_checks.append(1)
         return rounding(parts)
 
-    monkeypatch.setattr(solver, "gradient", recorded)
+    monkeypatch.setattr(solver, "_descent_gradient", recorded)
     monkeypatch.setattr(solver, "_energy_rounding", counted)
     opts = SolverOptions(max_iters=4000, tol_residual=1e-300)
     rep = solve_ground_state(constant_problem(n=16), opts=opts)
@@ -383,7 +385,7 @@ def test_unclipped_trial_carries_its_transform(monkeypatch):
     # transform until its spectrum is asked for, then one over both rows
     prob = constant_problem(s=0.8)
     state = smooth_pair(prob, 1)
-    grad = solver.gradient(state, prob, preconditioned=True)
+    grad = gradient(state, prob, preconditioned=True)
 
     def carries_its_transform(trial, rows=(0, 1)):
         fresh = np.fft.rfftn(trial.values, axes=(1, 2))
@@ -421,10 +423,13 @@ def test_unclipped_trial_carries_its_transform(monkeypatch):
 
 
 def test_cold_solve_reaches_the_clip_and_converges_sooner(monkeypatch):
-    # with weak coupling a few line-search trials of this cold solve turn
-    # negative somewhere; the clip (a trial it changes carries no spectrum)
-    # keeps them in the positive cone, and the solve takes 36 iterations
-    # where an unclipped descent takes 45
+    # with weak coupling, a start whose rows swing through their mean in
+    # opposite phase has a line-search trial that turns negative somewhere;
+    # the clip (a trial it changes carries no spectrum) keeps it in the
+    # positive cone, where f vanishes, and the solve stays within the
+    # bound a cold solve of this problem once needed (36 iterations).  No
+    # cold solve of this problem reaches the clip: the slope-shifted
+    # descent keeps its trials positive.
     clipped = []
     trial = solver._trial
 
@@ -434,7 +439,11 @@ def test_cold_solve_reaches_the_clip_and_converges_sooner(monkeypatch):
         return pair
 
     monkeypatch.setattr(solver, "_trial", counted)
-    rep = solve_ground_state(constant_problem(lam=0.01), opts=FAST)
+    prob = constant_problem(lam=0.01)
+    g = prob.grid
+    wave = np.cos(2.0 * np.pi * g.coordinates()[0] / g.box_length)
+    init = StatePair(Field(g, 1.01 + wave), Field(g, 0.5 * (1.01 - wave)))
+    rep = solve_ground_state(prob, init=init, opts=FAST)
     assert sum(clipped) >= 1
     assert rep.converged and rep.iterations <= 40
     assert rep.state.values.min() >= 0.0
@@ -669,6 +678,83 @@ def test_block_preconditioner_keeps_near_bound_cold_solves_short(n, L, max_iters
     assert rep.converged
     assert rep.iterations <= max_iters
     assert rep.level == pytest.approx(level, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the slope-shifted preconditioner
+
+
+@pytest.mark.parametrize(
+    "seed,level",
+    [(0, 10.078659125798627), (1, 10.078659125798652), (2, 10.078659125798627),
+     (3, 10.078659125798648)],
+)
+def test_shifted_block_shortens_the_cold_constant_solve(seed, level):
+    # the 2-D n=64 log_power problem whose ground state is a constant pair;
+    # preconditioned by the linear part alone the cold solve took 30-35
+    # iterations on these seeds, and the levels are the ones it found
+    rep = solve_ground_state(constant_problem(n=64), opts=SolverOptions(seed=seed))
+    assert rep.converged
+    assert rep.iterations <= 24
+    assert rep.level == pytest.approx(level, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "which,max_iters,level", [(1, 24, 24.25486056151152), (2, 34, 127.75557246972915)]
+)
+def test_shifted_block_shortens_the_scalar_solves(which, max_iters, level):
+    # the scalar solves of the coupling sweep's problem; the first
+    # component's state is constant, the second's localized.  Preconditioned
+    # by the linear part alone they took 36-43 and 40-44 iterations on
+    # seeds 0-2
+    prob = constant_problem(n=64, lam=1.0)
+    for seed in range(3):
+        rep = solve_scalar_ground_state(which, prob, opts=SolverOptions(seed=seed))
+        assert rep.converged
+        assert rep.iterations <= max_iters
+        assert rep.level == pytest.approx(level, rel=1e-10)
+
+
+def test_localized_state_keeps_the_unshifted_block(monkeypatch):
+    # a localized pure_power state has its least values in its tail, where
+    # the slope is negligible, so every gradient of the descent mixes by
+    # the problem's cached preconditioner itself
+    prob = constant_problem(s=0.8, nl_kind="pure_power", p=4.0)
+    blocks = []
+    mix = solver._gradient
+
+    def recorded(state, problem, block):
+        blocks.append(block)
+        return mix(state, problem, block)
+
+    monkeypatch.setattr(solver, "_gradient", recorded)
+    rep = solve_ground_state(prob, opts=FAST)
+    assert rep.converged
+    assert rep.state.values.min() < 1e-2 * rep.state.values.max()
+    assert blocks and all(block is prob._preconditioner for block in blocks)
+
+
+@pytest.mark.parametrize(
+    "build,shifted",
+    [
+        (lambda: constant_problem(n=64), True),
+        (lambda: dataclasses.replace(constant_problem(s=0.4, lam=-0.6), s2=0.9), True),
+        (perturbed_problem, True),
+        (lambda: constant_problem(s=0.8, nl_kind="pure_power", p=4.0), False),
+    ],
+    ids=["constant_state", "unequal_orders", "perturbed", "localized"],
+)
+@pytest.mark.parametrize("max_iters", [4, 4000])
+def test_gradient_residual_is_the_unshifted_preconditioned_gradient(build, shifted, max_iters):
+    # the convergence test and the report measure the gradient
+    # preconditioned by the unshifted block, whatever block the descent
+    # mixed by at the reported state: mid-solve and converged
+    prob = build()
+    rep = solve_ground_state(prob, opts=SolverOptions(max_iters=max_iters))
+    assert (solver._descent_gradient(rep.state, prob)._shifts is not None) == shifted
+    plain = gradient(rep.state, prob, preconditioned=True)
+    want = l2_norm_pair(plain) / l2_norm_pair(rep.state)
+    assert abs(rep.gradient_residual - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------
