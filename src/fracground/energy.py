@@ -254,7 +254,11 @@ def _gradient(state: StatePair, problem: ProblemSpec, block) -> StatePair:
     """The L^2 gradient pair, or with ``block``, three real arrays on the
     half spectrum (p11, p12, p22), the pair whose spectra are the residual
     spectra mixed by the symmetric per-mode block [[p11, p12], [p12, p22]]
-    (``_mix``); that pair carries the mixed spectra."""
+    (``_mix``); that pair carries the mixed spectra.  A block other than
+    ProblemSpec._preconditioner is a shifted one, and its pair also keeps
+    the residual spectra it mixed, as ``_unmixed`` (None for the unshifted
+    block), for the descent's residual and first step; the copy is taken
+    only then."""
     _check_state(state, problem)
     g = problem.grid
     w = state.values
@@ -271,8 +275,10 @@ def _gradient(state: StatePair, problem: ProblemSpec, block) -> StatePair:
         return StatePair._stacked(g, plain)
     r += _rfftn(local, g)
     del local
-    _mix(block, r)
-    return StatePair._stacked(g, _irfftn(r, g), r)
+    unmixed = None if block is problem._preconditioner else r.copy()
+    out = StatePair._stacked(g, _irfftn(_mix(block, r), g), r)
+    out.__dict__["_unmixed"] = unmixed
+    return out
 
 
 def _mix(block: tuple, r: np.ndarray) -> np.ndarray:
@@ -285,23 +291,6 @@ def _mix(block: tuple, r: np.ndarray) -> np.ndarray:
     r[0] *= p11
     r[0] += cross
     return r
-
-
-def _linear_part(problem: ProblemSpec, shifts, x: np.ndarray) -> np.ndarray:
-    """The shifted linear part, per mode [[a - k1, -l], [-l, b - k2]],
-    applied to a pair of half spectra x; a new array.  a, b and l are those
-    of ProblemSpec._preconditioner and (k1, k2) the mode's shifts as
-    ProblemSpec._shifted_preconditioner gives them (the zero mode's first,
-    then every other mode's; None for none).  It is the inverse of the
-    block that the descent mixes by, so it maps a descent gradient's
-    spectra back to the residual spectra they were mixed from."""
-    v1, v2, lam = problem._mean_weights
-    (j1, j2), (k1, k2) = shifts or ((0.0, 0.0), (0.0, 0.0))
-    out = problem._symbols * x
-    out += np.reshape((v1 - k1, v2 - k2), (2,) + (1,) * problem.grid.dim) * x
-    out -= lam * x[::-1]
-    out.reshape(2, -1)[:, 0] += (k1 - j1, k2 - j2) * x.reshape(2, -1)[:, 0]
-    return out
 
 
 def l2_norm_pair(state: StatePair) -> float:

@@ -51,17 +51,18 @@ part alone.  The block costs no transform beyond the gradient's own, and
 since it sees the coupling, solves near the coupling bound delta -> 1
 stay short.  Each line search starts from the short Barzilai-Borwein step
 of the last accepted iteration, which tracks the curvature along the
-path; the first iteration starts from the step _FIRST_STEP.  With the
-unshifted block it is <s,y>/<y,y> (s the change of the pair, y that of
-its preconditioned gradient); once a shift is in play it is measured in
-the block's own metric (_shifted_bb_step), on the carried spectra.
-Convergence requires both energy stagnation and a small residual of the
-gradient preconditioned by the unshifted block (energy.gradient), which
-the shifted gradient's carried spectra give by Parseval without a
-transform, and only where a test reads it.  Near a minimizer the energy
-is flat to within its own rounding, so there a first trial is also
-accepted when it raises the energy by no more than that rounding and
-lowers the residual.
+path; the first iteration starts from the step _FIRST_STEP.  In L^2 it
+is <s,y>/<y,y> (s the change of the pair, y that of its preconditioned
+gradient).  A gradient mixed by a shifted block keeps the residual
+spectra it mixed (energy._gradient), and once both gradients of a step
+were mixed by shifted blocks the step is measured in the block's own
+metric on those spectra (_shifted_bb_step).  Convergence requires both
+energy stagnation and a small residual of the gradient preconditioned by
+the unshifted block (energy.gradient), which the kept spectra give by
+Parseval without a transform, and only where a test reads it.  Near a
+minimizer the energy is flat to within its own rounding, so there a
+first trial is also accepted when it raises the energy by no more than
+that rounding and lowers the residual.
 
 A cold solve (no starting pair given) on n >= 64 points per axis is
 nested iteration one level deep, after the cascadic scheme of Bornemann
@@ -85,7 +86,6 @@ from .energy import (
     EnergyBreakdown,
     StatePair,
     _gradient,
-    _linear_part,
     _mix,
     _nonlinear_pairing,
     _quadratic_parts,
@@ -173,25 +173,31 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tol_residual > 0:
-            raise _RuleError(
-                "tol_residual", f"tol_residual must be positive, got {self.tol_residual}"
-            )
+        tol = self.tol_residual
+        if not (_is_number(tol, (float, np.floating)) and tol > 0):
+            raise _RuleError("tol_residual", f"tol_residual must be positive, got {tol!r}")
         _check_whole(self.max_iters, "max_iters", 1)
         _check_whole(self.seed, "seed", 0)
 
 
+def _is_number(value, kinds: tuple = ()) -> bool:
+    """Whether value is an int or numpy integer, or of one of ``kinds``; a
+    bool is an int but never a number here."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer) + kinds)
+
+
 def _check_whole(value, field: str, low: int) -> None:
     """A count or a seed: an int (or numpy integer), not a bool, >= low."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_number(value):
         raise _RuleError(field, f"{field} must be a whole number, got {value!r}")
     if value < low:
         raise _RuleError(field, f"{field} must be >= {low}")
 
 
 def _check_which(which: int, field: str) -> None:
-    if which not in (1, 2):
-        raise _RuleError(field, f"{field} must be 1 or 2, got {which}")
+    """A component: the int (or numpy integer) 1 or 2, not a bool."""
+    if not (_is_number(which) and which in (1, 2)):
+        raise _RuleError(field, f"{field} must be 1 or 2, got {which!r}")
 
 
 @dataclass
@@ -546,12 +552,12 @@ def _descend(
         last_decrease = (E - Ec) / max(abs(E), abs(Ec), 1.0e-300)
         if cand_grad is None:
             cand_grad = _descent_gradient(cand, problem)
-        if grad._shifts is None and cand_grad._shifts is None:
+        if grad._unmixed is None or cand_grad._unmixed is None:
             np.subtract(cand.values, state.values, out=steps[0])
             np.subtract(cand_grad.values, grad.values, out=steps[1])
             eta0 = _bb_step(steps[0], steps[1])
         else:
-            eta0 = _shifted_bb_step(state, grad, cand, cand_grad, problem)
+            eta0 = _shifted_bb_step(state, grad, cand, cand_grad)
         state, parts, E, grad = cand, trial, Ec, cand_grad
         iterations += 1
         t_history.append(t0)
@@ -586,13 +592,9 @@ def _descent_gradient(state: StatePair, problem: ProblemSpec) -> StatePair:
     """The state's gradient preconditioned by the block shifted by the
     nonlinearity's slope at the least value of each row
     (ProblemSpec._shifted_preconditioner), refreshed at every state the
-    descent accepts.  The pair keeps the shifts its block subtracts as
-    ``_shifts`` (None when the block is the unshifted one), which
-    ``_residual`` undoes."""
-    block, shifts = problem._shifted_preconditioner(*state._row_min)
-    grad = _gradient(state, problem, block)
-    grad.__dict__["_shifts"] = shifts
-    return grad
+    descent accepts.  Mixed by a shifted block, the pair keeps the residual
+    spectra it mixed as ``_unmixed`` (energy._gradient)."""
+    return _gradient(state, problem, problem._shifted_preconditioner(*state._row_min))
 
 
 def _residual(grad: StatePair, state: StatePair, problem: ProblemSpec) -> float:
@@ -600,19 +602,18 @@ def _residual(grad: StatePair, state: StatePair, problem: ProblemSpec) -> float:
     block (energy.gradient with preconditioned=True), taken on first use and
     kept on the state's descent gradient ``grad``.
 
-    Where the descent's block subtracted no shift, that is |grad| / |state|.
-    Otherwise grad's spectra are mapped back to the residual spectra
-    (energy._linear_part with grad's shifts) and mixed by the unshifted
-    block, and the norm follows by Parseval from the half spectrum, with no
-    transform.
+    Where the descent's block was the unshifted one, that is |grad| /
+    |state|.  Otherwise grad's kept residual spectra (``_unmixed``) are
+    mixed by the unshifted block, and the norm follows by Parseval from the
+    half spectrum, with no transform.
     """
     cached = grad.__dict__.get("_residual")
     if cached is not None:
         return cached
-    if grad._shifts is None:
+    if grad._unmixed is None:
         norm = l2_norm_pair(grad)
     else:
-        plain = _mix(problem._preconditioner, _linear_part(problem, grad._shifts, grad.spectrum))
+        plain = _mix(problem._preconditioner, grad._unmixed.copy())
         norm = float(np.sqrt(_spectral_dot(plain, plain, state.grid)))
     grad.__dict__["_residual"] = out = norm / l2_norm_pair(state)
     return out
@@ -638,24 +639,19 @@ def _bb_step(s: np.ndarray, y: np.ndarray) -> float:
 
 
 def _shifted_bb_step(
-    state: StatePair,
-    grad: StatePair,
-    cand: StatePair,
-    cand_grad: StatePair,
-    problem: ProblemSpec,
+    state: StatePair, grad: StatePair, cand: StatePair, cand_grad: StatePair
 ) -> float:
-    """``_bb_step`` after a step where either gradient's block was shifted:
+    """``_bb_step`` after a step where both gradients' blocks were shifted:
     <s,r>/<g,r> with s the change of the pair, g that of its descent
-    gradient and r that of the plain gradient, each gradient mapped back
-    through its own block (energy._linear_part).  With one fixed block P
-    this is the short step <s,r>/<r,Pr> in P's own metric; measured in L^2
-    instead, as ``_bb_step`` is, the change of the gradient along modes
-    that a nearly singular shifted block amplifies dominates <y,y> and
-    shrinks the step to a crawl.  The inner products are taken on the
-    carried spectra (``_spectral_dot``), with no transform."""
-    g = problem.grid
-    r = _linear_part(problem, cand_grad._shifts, cand_grad.spectrum)
-    r -= _linear_part(problem, grad._shifts, grad.spectrum)
+    gradient and r that of the residual spectra each gradient kept
+    (``_unmixed``).  With one fixed block P this is the short step
+    <s,r>/<r,Pr> in P's own metric; measured in L^2 instead, as
+    ``_bb_step`` is, the change of the gradient along modes that a nearly
+    singular shifted block amplifies dominates <y,y> and shrinks the step to
+    a crawl.  The inner products are taken on the carried spectra
+    (``_spectral_dot``), with no transform."""
+    g = state.grid
+    r = cand_grad._unmixed - grad._unmixed
     sr = _spectral_dot(cand.spectrum - state.spectrum, r, g)
     return _bb_ratio(sr, _spectral_dot(cand_grad.spectrum - grad.spectrum, r, g))
 

@@ -1,5 +1,6 @@
 """Config parsing, rendering, subcommands, and exit codes."""
 
+import dataclasses
 import os
 import re
 import runpy
@@ -161,6 +162,15 @@ def test_render_config_round_trips():
                    "sweep.scales=0.1,0.3"],
     )
     assert parse_config(render_config(cfg2)) == cfg2
+
+
+@pytest.mark.parametrize("which", [True, 2.0])
+def test_config_refuses_a_component_it_cannot_render(which):
+    # a config that builds must parse back from its rendering, and "True"
+    # or "2.0" is no int to the parser (SolverOptions likewise refuses
+    # tol_residual=True)
+    with pytest.raises(ValueError, match="scalar_which must be 1 or 2"):
+        dataclasses.replace(parse_config(BASE_CONFIG), scalar_which=which)
 
 
 # ---------------------------------------------------------------------------

@@ -484,11 +484,12 @@ def test_block_preconditioner_inverts_the_constant_weight_linear_part(dim, n, s1
 
 
 def test_shifted_block_keeps_its_margins_on_every_mode():
-    # over the orders, the coupling and the row minima m1, m2 >= 0: every
-    # mode of the descent's block [[a - k1, -l], [-l, b - k2]] keeps at
-    # least 10% of a, of b and of ab - l^2 (the zero mode under its own
-    # shifts), and the preconditioner is its inverse; a negligible shift
-    # leaves the unshifted preconditioner itself
+    # over the orders, the coupling and the row minima m1, m2 >= 0: the
+    # descent's preconditioner inverts, mode by mode, a block [[A, -l],
+    # [-l, B]] with A = a - k1 and B = b - k2, one pair of shifts (k1, k2)
+    # on the zero mode and one on every other mode, each between 0 and the
+    # slope; every mode keeps at least 10% of a, of b and of ab - l^2.  A
+    # negligible shift leaves the unshifted preconditioner itself
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -508,27 +509,30 @@ def test_shifted_block_keeps_its_margins_on_every_mode():
             dim=2, n=16, s=s1, lam=delta * np.sqrt(1.5), nl_kind=nl_kind, gamma=1.5, p=3.0
         )
         prob = dataclasses.replace(base, s2=s2)
-        block, shifts = prob._shifted_preconditioner(m1, m2)
+        block = prob._shifted_preconditioner(m1, m2)
         a = prob.grid.symbol(s1) + 1.0
         b = prob.grid.symbol(s2) + 1.5
         lam = delta * np.sqrt(1.5)
-        if shifts is None:
-            assert block is prob._preconditioner
+        c1, c2 = prob.nl1._slope(m1), prob.nl2._slope(m2)
+        negligible = c1 < 0.02 * a.flat[1] and c2 < 0.02 * b.flat[1]
+        assert (block is prob._preconditioner) == negligible
+        if negligible:
             return
-        (j1, j2), (k1, k2) = shifts
-        A, B = a - k1, b - k2
-        A.flat[0], B.flat[0] = a.flat[0] - j1, b.flat[0] - j2
+        # the block the preconditioner inverts
+        p11, p12, p22 = block
+        det = p11 * p22 - p12 * p12
+        A, B, coupling = p22 / det, p11 / det, p12 / det
+        assert np.allclose(coupling, lam, rtol=1e-12, atol=1e-12)
         keep = 0.1 * (1.0 - 1e-12)
         assert np.all(A >= keep * a) and np.all(B >= keep * b)
         assert np.all(A * B - lam * lam >= keep * (a * b - lam * lam))
-        # each shift is theta times the slope at the row's least value
-        c1, c2 = prob.nl1._slope(m1), prob.nl2._slope(m2)
-        for shift, c in ((j1, c1), (k1, c1), (j2, c2), (k2, c2)):
-            assert 0.0 <= shift <= c
-        p11, p12, p22 = block
-        det = A * B - lam * lam
-        for got, want in ((p11, B / det), (p12, lam / det), (p22, A / det)):
-            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        # each shift is theta times the slope at the row's least value, one
+        # theta on the zero mode and one on every other mode
+        for full, shifted, c in ((a, A, c1), (b, B, c2)):
+            shift = (full - shifted).ravel()
+            tol = 1e-12 * full.ravel()
+            assert np.all(shift >= -tol) and np.all(shift <= c + tol)
+            assert np.all(np.abs(shift[1:] - shift[1]) <= tol[1:] + 1e-12 * c)
 
     check()
 

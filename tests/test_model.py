@@ -462,7 +462,7 @@ def test_without_perturbations_is_the_periodic_view_of_the_audit():
     assert ref.without_perturbations() is ref
     mine, theirs = validate_assumptions(prob).constants, validate_assumptions(ref).constants
     assert theirs["V_0"] == mine["V_p"]
-    assert theirs["delta_perturbed"] == mine["delta_periodic"]
+    assert theirs["delta_eff"] == mine["delta_periodic"]
 
 
 def test_periodic_reference_is_one_problem_sampled_by_the_audit(monkeypatch):
@@ -507,7 +507,6 @@ def test_scaled_problem_takes_its_own_audit():
     scaled = prob.with_coupling_scale(3.0)
     assert [c.name for c in validate_assumptions(scaled).failures()] == [
         "periodic_coupling_small",
-        "coupling_perturbation_raises",
         "coupling_size_effective",
     ]
     assert validate_assumptions(prob).all_passed

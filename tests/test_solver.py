@@ -751,10 +751,57 @@ def test_gradient_residual_is_the_unshifted_preconditioned_gradient(build, shift
     # mixed by at the reported state: mid-solve and converged
     prob = build()
     rep = solve_ground_state(prob, opts=SolverOptions(max_iters=max_iters))
-    assert (solver._descent_gradient(rep.state, prob)._shifts is not None) == shifted
+    assert (solver._descent_gradient(rep.state, prob)._unmixed is not None) == shifted
     plain = gradient(rep.state, prob, preconditioned=True)
     want = l2_norm_pair(plain) / l2_norm_pair(rep.state)
     assert abs(rep.gradient_residual - want) <= 1e-12 * want
+
+
+def test_shifted_descent_gradient_keeps_the_residual_spectra_it_mixed():
+    # a gradient mixed by a shifted block keeps the spectra it mixed: the
+    # block maps them onto the pair's own spectra, bit for bit, and they are
+    # the transform of the plain L^2 gradient
+    prob = constant_problem()
+    state = solve_ground_state(prob, opts=SolverOptions(max_iters=4)).state
+    grad = solver._descent_gradient(state, prob)
+    block = prob._shifted_preconditioner(*state._row_min)
+    assert block is not prob._preconditioner and grad._unmixed is not None
+    assert np.array_equal(solver._mix(block, grad._unmixed.copy()), grad.spectrum)
+    plain = np.fft.rfftn(gradient(state, prob).values, axes=(1, 2))
+    assert np.max(np.abs(grad._unmixed - plain)) <= 1e-12 * np.max(np.abs(plain))
+
+
+def test_step_across_the_shift_boundary_is_measured_in_l2(monkeypatch):
+    # the cold solve's first gradient, at the bump, takes the unshifted
+    # block and the next ones a shifted block; only a step between two
+    # shifted gradients is measured in the block's metric
+    events = []
+
+    def record(name, call, tag=None):
+        def recorded(*args):
+            out = call(*args)
+            events.append(tag(out) if tag else name)
+            return out
+
+        monkeypatch.setattr(solver, name, recorded)
+
+    record("_descent_gradient", solver._descent_gradient, lambda g: g._unmixed is not None)
+    record("_bb_step", solver._bb_step)
+    record("_shifted_bb_step", solver._shifted_bb_step)
+    rep = solve_ground_state(constant_problem(), opts=FAST)  # n=32: one level
+    assert rep.converged
+    steps = []
+    last = previous = events[0]
+    for event in events[1:]:
+        if isinstance(event, bool):
+            last = event
+        else:
+            steps.append(((previous, last), event))
+            previous = last
+    assert len(steps) == rep.iterations
+    assert steps[0] == ((False, True), "_bb_step")
+    assert all(call == "_shifted_bb_step" for _, call in steps[1:])
+    assert all((call == "_shifted_bb_step") == all(kinds) for kinds, call in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -822,11 +869,20 @@ def test_diagnostics_summary_renders(diagnosed):
         ("seed", -1),
         ("seed", False),
         ("tol_residual", float("nan")),
+        ("tol_residual", True),  # bool is an int, but renders as "True"
+        ("tol_residual", "1e-8"),
     ],
 )
 def test_solver_options_reject_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         SolverOptions(**{field: value})
+
+
+@pytest.mark.parametrize("which", [0, 3, True, 2.0])
+def test_scalar_component_is_the_whole_number_1_or_2(which):
+    # True == 1 and 2.0 == 2, but neither names a component
+    with pytest.raises(ValueError, match="which must be 1 or 2"):
+        solve_scalar_ground_state(which, constant_problem(), opts=FAST)
 
 
 def test_scalar_start_is_one_component_of_the_default_start(monkeypatch):
