@@ -228,8 +228,8 @@ def parse_config(text: str, overrides=()) -> ParsedConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # a numpy float too, whose repr names its type
+        return repr(float(value))
     if isinstance(value, tuple):
         return ",".join(_fmt(v) for v in value)
     return str(value)

@@ -111,10 +111,14 @@ class StatePair:
         return Field(self.grid, self.values[1])
 
     def _positive(self) -> tuple:
-        """(x, k): the positive entries of ``values`` in row-major order, one
-        gather over both rows, of which the first k are u's.  Taken afresh on
-        each call; only a projected pair holds one, handed over by
-        solver.nehari_project until its first ``energy`` takes it."""
+        """(x, k): the positive entries of ``values`` in row-major order, of
+        which the first k are u's.  Where both row minima are positive that
+        is the read-only flat view of the values, with no copy; otherwise one
+        gather over both rows, taken afresh on each call.  Only a projected
+        pair holds one, handed over by solver.nehari_project until its first
+        ``energy`` takes it."""
+        if min(self._row_min) > 0.0:
+            return self.values.reshape(-1), self.values[0].size
         mask = self.values > 0.0
         return self.values[mask], int(np.count_nonzero(mask[0]))
 
@@ -250,7 +254,7 @@ def gradient(
     return _gradient(state, problem, problem._preconditioner if preconditioned else None)
 
 
-def _gradient(state: StatePair, problem: ProblemSpec, block) -> StatePair:
+def _gradient(state: StatePair, problem: ProblemSpec, block, work=None) -> StatePair:
     """The L^2 gradient pair, or with ``block``, three real arrays on the
     half spectrum (p11, p12, p22), the pair whose spectra are the residual
     spectra mixed by the symmetric per-mode block [[p11, p12], [p12, p22]]
@@ -258,7 +262,7 @@ def _gradient(state: StatePair, problem: ProblemSpec, block) -> StatePair:
     ProblemSpec._preconditioner is a shifted one, and its pair also keeps
     the residual spectra it mixed, as ``_unmixed`` (None for the unshifted
     block), for the descent's residual and first step; the copy is taken
-    only then."""
+    only then.  ``work`` is handed to grid._irfftn for its complex passes."""
     _check_state(state, problem)
     g = problem.grid
     w = state.values
@@ -270,13 +274,13 @@ def _gradient(state: StatePair, problem: ProblemSpec, block) -> StatePair:
     del term
     r = problem._symbols * state.spectrum
     if block is None:
-        plain = _irfftn(r, g)
+        plain = _irfftn(r, g, work)
         plain += local
         return StatePair._stacked(g, plain)
     r += _rfftn(local, g)
     del local
     unmixed = None if block is problem._preconditioner else r.copy()
-    out = StatePair._stacked(g, _irfftn(_mix(block, r), g), r)
+    out = StatePair._stacked(g, _irfftn(_mix(block, r), g, work), r)
     out.__dict__["_unmixed"] = unmixed
     return out
 

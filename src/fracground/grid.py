@@ -10,7 +10,10 @@ which is spectrally accurate for smooth periodic integrands.
 
 Every transform in the package is taken by ``_rfftn`` and ``_irfftn``: a
 real transform pair over the trailing grid.dim axes with ``numpy.fft``, so
-a stacked pair of fields is transformed in one call each way.
+a stacked pair of fields is transformed in one call each way.  numpy runs
+one pass per axis; ``_rfftn`` runs them all in its output, and ``_irfftn``
+its complex passes in one buffer a caller may hold across calls, in the
+order numpy's ``irfftn`` takes them, so the samples are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -217,10 +220,20 @@ def _rfftn(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), out=out)
 
 
-def _irfftn(spectrum: np.ndarray, grid: Grid) -> np.ndarray:
+def _irfftn(spectrum: np.ndarray, grid: Grid, work=None) -> np.ndarray:
     """Real samples of a half ``spectrum`` over its trailing grid.dim axes,
-    the inverse of ``_rfftn``."""
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+    the inverse of ``_rfftn``; the spectrum is left as it is.
+
+    numpy's ``irfftn`` runs a complex pass per axis but the last, each into
+    a fresh array, then the real pass.  Handed ``work``, a complex array
+    shaped like the spectrum, the complex passes all run in it: ``ifftn``
+    takes its axes last to first, so listed in reverse it runs them in
+    ``irfftn``'s order, bit for bit.  The real pass writes a fresh array.
+    """
+    if work is None or grid.dim == 1:
+        return np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+    np.fft.ifftn(spectrum, axes=tuple(range(-2, -grid.dim - 1, -1)), out=work)
+    return np.fft.irfftn(work, s=grid.shape[-1:], axes=(-1,))
 
 
 def _check_same_grid(a: Field, b: Field) -> None:

@@ -27,9 +27,12 @@ pass of batched Parseval dot products) is kept on the trial and carried
 times t^2 onto the projected pair, whose energy reads it, and the projected
 pair carries t times the trial's spectrum for its gradient.  An accepted
 step costs the 2 transforms of that gradient, and each projection 1
-quadratic-form pass.  A state is checked for finite values once, where it
-enters; a trial that overflows has a non-finite Q, so its projection fails
-and the line search backtracks.
+quadratic-form pass.  On a large grid the descent holds one complex
+buffer in which each inverse transform runs its complex passes
+(grid._irfftn, _WORK_BYTES), and a pair positive everywhere projects
+with no gather (StatePair._positive).  A state is checked for finite
+values once, where it enters; a trial that overflows has a non-finite
+Q, so its projection fails and the line search backtracks.
 
 The outer iteration steps against the preconditioned gradient, projects
 the trial pair and accepts it once its energy is strictly lower,
@@ -134,6 +137,12 @@ _TOL_ENERGY = 1.0e-10
 # ulps of rounding, and on the constraint set they cancel to several times
 # less than their size.
 _ENERGY_ROUNDING_ULPS = 16.0
+# A descent whose half spectrum takes at least this many bytes (glibc's
+# default mmap threshold) runs every inverse transform's complex passes in
+# one buffer it holds.  numpy gives each pass a fresh array: a smaller one
+# comes back from the allocator's free lists, and there the buffer's extra
+# numpy call costs more than it saves; a larger one is faulted in afresh.
+_WORK_BYTES = 1 << 17
 # The ray scale is sought in [2^-60, 2^60]; outside it the projection fails.
 _MAX_DOUBLINGS = 60
 _T_MAX = 2.0**_MAX_DOUBLINGS
@@ -264,7 +273,8 @@ def nehari_project(state: StatePair, problem: ProblemSpec) -> tuple:
     safeguarded Newton from t = 1.  Raises NotInEPlus without a positive
     part and BracketFailure when Q <= 0 or no root lies in [2^-60, 2^60].
     The scaled pair hands t0 times the gather of the pair's positive
-    entries to its first energy (energy.energy), which then gathers none.
+    entries, or its own flat values where every entry is positive, to its
+    first energy (energy.energy), which then gathers none.
     """
     x, k = state._positive()
     if not x.size:
@@ -277,8 +287,12 @@ def nehari_project(state: StatePair, problem: ProblemSpec) -> tuple:
     t0 = _ray_scale(x, k, problem, Q)
     projected = state.scaled(t0)
     # entry for entry, t0 * x is the gather of t0 times the values (an entry
-    # that underflows to 0 adds F(0) = 0)
-    x *= t0
+    # that underflows to 0 adds F(0) = 0); a positive pair's x is the
+    # read-only view of its values, and the projected pair hands its own
+    if x.flags.writeable:
+        x *= t0
+    else:
+        x = projected.values.reshape(-1)
     projected.__dict__["_gathered"] = (x, k)
     return t0, projected
 
@@ -498,7 +512,9 @@ def _descend(
     t_history = [t0]
     parts = energy(state, problem)
     E = parts.total
-    grad = _descent_gradient(state, problem)
+    spectrum = state.spectrum
+    work = np.empty_like(spectrum) if spectrum.nbytes >= _WORK_BYTES else None
+    grad = _descent_gradient(state, problem, work)
     # s and y of the Barzilai-Borwein step, written in place each iteration
     steps = np.empty((2,) + state.values.shape)
     last_decrease = np.inf
@@ -532,7 +548,7 @@ def _descend(
                 break
             if eta == eta0 and Ec <= E + _energy_rounding(trial):
                 # the energy cannot resolve this step; the residual can
-                cand_grad = _descent_gradient(cand, problem)
+                cand_grad = _descent_gradient(cand, problem, work)
                 if _residual(cand_grad, cand, problem) < _residual(grad, state, problem):
                     accepted = True
                     break
@@ -551,7 +567,7 @@ def _descend(
 
         last_decrease = (E - Ec) / max(abs(E), abs(Ec), 1.0e-300)
         if cand_grad is None:
-            cand_grad = _descent_gradient(cand, problem)
+            cand_grad = _descent_gradient(cand, problem, work)
         if grad._unmixed is None or cand_grad._unmixed is None:
             np.subtract(cand.values, state.values, out=steps[0])
             np.subtract(cand_grad.values, grad.values, out=steps[1])
@@ -588,13 +604,14 @@ def _trial(state: StatePair, grad: StatePair, eta: float) -> StatePair:
     return pair
 
 
-def _descent_gradient(state: StatePair, problem: ProblemSpec) -> StatePair:
+def _descent_gradient(state: StatePair, problem: ProblemSpec, work=None) -> StatePair:
     """The state's gradient preconditioned by the block shifted by the
     nonlinearity's slope at the least value of each row
     (ProblemSpec._shifted_preconditioner), refreshed at every state the
     descent accepts.  Mixed by a shifted block, the pair keeps the residual
-    spectra it mixed as ``_unmixed`` (energy._gradient)."""
-    return _gradient(state, problem, problem._shifted_preconditioner(*state._row_min))
+    spectra it mixed as ``_unmixed`` (energy._gradient).  ``work`` holds the
+    inverse transform's complex passes (grid._irfftn)."""
+    return _gradient(state, problem, problem._shifted_preconditioner(*state._row_min), work)
 
 
 def _residual(grad: StatePair, state: StatePair, problem: ProblemSpec) -> float:

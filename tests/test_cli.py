@@ -164,6 +164,21 @@ def test_render_config_round_trips():
     assert parse_config(render_config(cfg2)) == cfg2
 
 
+def test_numpy_floats_survive_a_round_trip():
+    # a numpy float is a float, but its repr names its type
+    cfg = dataclasses.replace(
+        parse_config(BASE_CONFIG),
+        options=SolverOptions(tol_residual=np.float64(1e-8)),
+        sweep_scales=tuple(d * np.sqrt(1.5) for d in (0.2, 0.4, 0.6, 0.8)),
+    )
+    text = render_config(cfg)
+    assert "np." not in text
+    again = parse_config(text)
+    assert again == cfg
+    assert again.options.tol_residual == 1e-8
+    assert again.sweep_scales == tuple(float(d * np.sqrt(1.5)) for d in (0.2, 0.4, 0.6, 0.8))
+
+
 @pytest.mark.parametrize("which", [True, 2.0])
 def test_config_refuses_a_component_it_cannot_render(which):
     # a config that builds must parse back from its rendering, and "True"

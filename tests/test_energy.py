@@ -774,6 +774,44 @@ def test_projected_pair_hands_its_gather_to_its_first_energy(case, monkeypatch):
     assert again == first
 
 
+def test_a_positive_pair_hands_its_flat_values_as_its_positive_entries():
+    # both row minima positive: the positive entries are all the values, in
+    # row-major order as the gather takes them, viewed read-only, and the
+    # energy's sums over them are bitwise the gather's
+    prob, state = _parity_cases()["mixed_positive"]
+    assert min(state._row_min) > 0.0
+    x, k = state._positive()
+    mask = state.values > 0.0
+    assert not x.flags.writeable and np.shares_memory(x, state.values)
+    assert np.array_equal(x, state.values[mask]) and k == np.count_nonzero(mask[0])
+    Fx = prob._nonlinearity("F", state.values[mask], k)
+    parts = energy(state, prob)
+    dV = prob.grid.cell_volume
+    assert parts.F1_integral == dV * float(Fx[:k].sum())
+    assert parts.F2_integral == dV * float(Fx[k:].sum())
+
+
+def test_a_zero_row_or_a_clipped_trial_gathers_its_positive_entries():
+    # a row with a zero minimum (a scalar solve's start, a trial the clip
+    # changed) is masked: the gather is a fresh array of the positive
+    # entries alone
+    solver = sys.modules["fracground.solver"]
+    prob, zero_row = _parity_cases()["mixed_zero_partner"]
+    state = _parity_cases()["mixed_positive"][1]
+    # a step along v by its mean turns v negative somewhere, and the clip
+    # sets those entries to 0
+    along_v = StatePair(Field(prob.grid, np.zeros(prob.grid.shape)),
+                        Field(prob.grid, np.full(prob.grid.shape, state.v.values.mean())))
+    clipped = solver._trial(state, along_v, 1.0)
+    assert clipped._row_min[0] > 0.0 and clipped._row_min[1] == 0.0
+    for pair in (zero_row, clipped):
+        x, k = pair._positive()
+        mask = pair.values > 0.0
+        assert x.flags.writeable and not np.shares_memory(x, pair.values)
+        assert np.array_equal(x, pair.values[mask]) and k == np.count_nonzero(mask[0])
+        assert x.size < pair.values.size
+
+
 @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (128, 128), (32, 32, 32)])
 def test_pair_transform_equals_each_component_transform(shape):
     # one rfftn over the grid axes of the stacked pair, and one irfftn back,

@@ -16,6 +16,7 @@ from fracground import (
     read_field,
     write_field,
 )
+from fracground.grid import _irfftn
 from helpers import full_symbol, smooth_field
 
 
@@ -170,6 +171,26 @@ def test_apply_rejects_bad_order():
     for s in (0.0, -0.2, 1.0001, 2.0):
         with pytest.raises(ValueError):
             apply_frac_laplacian(u, s)
+
+
+@pytest.mark.parametrize("with_work", [False, True], ids=["fresh", "work"])
+@pytest.mark.parametrize("rows", [(), (2,)], ids=["field", "pair"])
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+def test_inverse_transform_is_numpys_irfftn_bit_for_bit(dim, n, rows, with_work):
+    # handed a work buffer, the complex passes run in it in irfftn's own
+    # order; the spectrum is left as it was, and the samples are a fresh
+    # array that shares memory with neither
+    g = make_grid(dim, n, 6.0)
+    rng = np.random.default_rng(10 * dim + len(rows))
+    half = rows + g.shape[:-1] + (n // 2 + 1,)
+    spectrum = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    kept = spectrum.copy()
+    work = np.empty_like(spectrum) if with_work else None
+    back = _irfftn(spectrum, g, work)
+    assert np.array_equal(back, np.fft.irfftn(kept, s=g.shape, axes=tuple(range(-dim, 0))))
+    assert np.array_equal(spectrum, kept)
+    assert not np.shares_memory(back, spectrum)
+    assert work is None or not np.shares_memory(back, work)
 
 
 # ---------------------------------------------------------------------------

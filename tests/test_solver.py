@@ -279,9 +279,9 @@ def test_solve_computes_each_gradient_once(monkeypatch):
     grad = solver._descent_gradient
     rounding = solver._energy_rounding
 
-    def recorded(state, problem):
+    def recorded(state, problem, *work):
         seen.append(state.u.values)
-        return grad(state, problem)
+        return grad(state, problem, *work)
 
     def counted(parts):
         flat_checks.append(1)
@@ -377,6 +377,53 @@ def test_solve_takes_two_transforms_per_iteration_and_one_form_per_projection(
     assert 2 * rep.iterations <= counts["transform"] <= 2 * rep.iterations + 3
     assert counts["pass"] == counts["project"]
     assert counts["F"] == counts["energy"]
+
+
+@pytest.mark.parametrize(
+    "build,buffered",
+    [
+        (lambda: constant_problem(dim=3, n=32, s=0.8, nl_kind="pure_power", p=4.0), True),
+        (lambda: constant_problem(n=128), True),
+        (constant_problem, False),
+    ],
+    ids=["pure_power_3d_n32", "two_level_2d_n128", "log_power_2d_n32"],
+)
+def test_descent_runs_every_inverse_in_one_buffer(build, buffered, monkeypatch):
+    # on a grid whose half spectrum takes _WORK_BYTES or more (not the
+    # coarse level of a two-level solve at n=128), every inverse transform
+    # of a descent runs its complex passes in the one buffer the descent
+    # holds; each gradient's values and carried spectrum are its own, so
+    # later gradients leave them as they were
+    outs, grads, taken = [], [], []
+    ifftn = np.fft.ifftn
+    descent_gradient = solver._descent_gradient
+
+    def recorded(*args, **kwargs):
+        outs.append(kwargs["out"])
+        return ifftn(*args, **kwargs)
+
+    def kept(state, problem, *work):
+        grads.append(descent_gradient(state, problem, *work))
+        taken.append((grads[-1].values.copy(), grads[-1].spectrum.copy()))
+        return grads[-1]
+
+    monkeypatch.setattr(np.fft, "ifftn", recorded)
+    monkeypatch.setattr(solver, "_descent_gradient", kept)
+    prob = build()
+    rep = solve_ground_state(prob, opts=SolverOptions(tol_residual=1e-7))
+    assert rep.converged and rep.iterations > 0
+    fine = [grad for grad in grads if grad.grid == prob.grid]
+    assert len(fine) >= 2 and len(outs) == (len(fine) if buffered else 0)
+    assert all(out is outs[0] for out in outs)
+    axes = tuple(range(1, prob.grid.dim + 1))
+    # the gradients shrink by orders of magnitude; rounding is the first's
+    scale = max(np.max(np.abs(spectrum)) for _, spectrum in taken)
+    for grad, (values, spectrum) in zip(grads, taken):
+        assert not any(np.shares_memory(grad.values, out) for out in outs[:1])
+        assert not any(np.shares_memory(grad.spectrum, out) for out in outs[:1])
+        assert np.array_equal(grad.values, values) and np.array_equal(grad.spectrum, spectrum)
+        fresh = np.fft.rfftn(grad.values, axes=axes)
+        assert np.max(np.abs(grad.spectrum - fresh)) <= 1e-12 * scale
 
 
 def test_unclipped_trial_carries_its_transform(monkeypatch):
@@ -723,9 +770,9 @@ def test_localized_state_keeps_the_unshifted_block(monkeypatch):
     blocks = []
     mix = solver._gradient
 
-    def recorded(state, problem, block):
+    def recorded(state, problem, block, *work):
         blocks.append(block)
-        return mix(state, problem, block)
+        return mix(state, problem, block, *work)
 
     monkeypatch.setattr(solver, "_gradient", recorded)
     rep = solve_ground_state(prob, opts=FAST)
