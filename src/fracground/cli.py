@@ -22,7 +22,7 @@ from .experiments import (
     decoupling_limit,
     write_sweep_csv,
 )
-from .grid import Grid, _RuleError, write_field
+from .grid import Grid, _RuleError, _check_which, _check_whole, write_field
 from .model import (
     NonlinearitySpec,
     ProblemSpec,
@@ -34,8 +34,6 @@ from .solver import (
     BracketFailure,
     SolverOptions,
     _best_of,
-    _check_which,
-    _check_whole,
     mountain_pass_diagnostics,
     solve_ground_state,
     solve_scalar_ground_state,

@@ -73,13 +73,14 @@ class StatePair:
         self.values = values
 
     @classmethod
-    def _stacked(cls, grid, values: np.ndarray, spectrum=None) -> "StatePair":
+    def _stacked(cls, grid, values: np.ndarray, spectrum=None, row_min=None) -> "StatePair":
         """The pair whose rows are the C-contiguous (2, *grid.shape) array
-        ``values``, which the caller hands over; a ``spectrum`` formed from
-        spectra the caller holds is carried as its transform and must equal
-        ``rfftn`` of the values up to rounding.  The values are not checked
-        for finiteness: Field checks a state where it enters, and a trial
-        that overflows fails in solver.nehari_project (Q is not finite)."""
+        ``values``, which the caller hands over.  Here what the caller knows
+        comes in: a ``spectrum`` formed from spectra it holds, equal to
+        ``rfftn`` of the values up to rounding, and the row minima
+        ``row_min``, each row's least value bit for bit.  The values are not
+        checked for finiteness: Field checks a state where it enters, and a
+        trial that overflows fails in solver.nehari_project (Q is not finite)."""
         if values.shape != (2,) + grid.shape:
             raise GridMismatch(f"pair shape {values.shape} does not match grid shape {grid.shape}")
         values.flags.writeable = False
@@ -87,6 +88,8 @@ class StatePair:
         out.grid, out.values = grid, values
         if spectrum is not None:
             out.__dict__["spectrum"] = spectrum
+        if row_min is not None:
+            out.__dict__["_row_min"] = row_min
         return out
 
     @cached_property
@@ -97,9 +100,8 @@ class StatePair:
     @cached_property
     def _row_min(self) -> tuple:
         """The least value of each row, two floats: one pass over the pair on
-        first use, or carried from the pair this one was scaled from
-        (``scaled``) or set by the line-search pass that formed it
-        (solver._trial)."""
+        first use, or handed to ``_stacked`` (by ``scaled``, and by the
+        line-search pass that formed a trial, solver._trial)."""
         return tuple(self.values.reshape(2, -1).min(axis=1).tolist())
 
     @cached_property
@@ -114,9 +116,7 @@ class StatePair:
         """(x, k): the positive entries of ``values`` in row-major order, of
         which the first k are u's.  Where both row minima are positive that
         is the read-only flat view of the values, with no copy; otherwise one
-        gather over both rows, taken afresh on each call.  Only a projected
-        pair holds one, handed over by solver.nehari_project until its first
-        ``energy`` takes it."""
+        gather over both rows, taken afresh on each call."""
         if min(self._row_min) > 0.0:
             return self.values.reshape(-1), self.values[0].size
         mask = self.values > 0.0
@@ -130,12 +130,13 @@ class StatePair:
         by t > 0: rounding is monotone, so t times the least value is the
         least of the scaled values, bit for bit."""
         spectrum = t * self.spectrum if "spectrum" in self.__dict__ else None
-        out = StatePair._stacked(self.grid, t * self.values, spectrum)
+        row_min = None
+        if "_row_min" in self.__dict__ and t > 0.0:
+            row_min = tuple(t * m for m in self._row_min)
+        out = StatePair._stacked(self.grid, t * self.values, spectrum, row_min)
         if "_quad" in self.__dict__:
             problem, parts = self._quad
             out.__dict__["_quad"] = (problem, tuple(t * t * q for q in parts))
-        if "_row_min" in self.__dict__ and t > 0.0:
-            out.__dict__["_row_min"] = tuple(t * m for m in self._row_min)
         return out
 
 
@@ -208,9 +209,8 @@ def energy(state: StatePair, problem: ProblemSpec) -> EnergyBreakdown:
     _check_state(state, problem)
     dV = problem.grid.cell_volume
     quad_u, quad_v, coupling_term = _quadratic_parts(state, problem)
-    # F vanishes on t <= 0, so only the positive entries are evaluated; a
-    # projected pair's first energy takes the gather its projection made
-    x, k = state.__dict__.pop("_gathered", None) or state._positive()
+    # F vanishes on t <= 0, so only the positive entries are evaluated
+    x, k = state._positive()
     Fx = problem._nonlinearity("F", x, k)
     F1_integral = dV * float(Fx[:k].sum())
     F2_integral = dV * float(Fx[k:].sum())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import StatePair
-from .grid import Field, _RuleError, lp_norm
+from .grid import Field, _RuleError, _no_bool, lp_norm
 from .model import ProblemSpec, _perturbation_sign
 from .solver import (
     SolveReport,
@@ -122,7 +122,7 @@ def _check_scales(scales, field: str, increasing: bool) -> list:
     (``increasing``) non-negative and strictly increasing, a limit's strictly
     positive and strictly decreasing.  A broken rule raises a _RuleError
     naming ``field``."""
-    scales = [float(s) for s in scales]
+    scales = [float(_no_bool(s, field)) for s in scales]
     if not scales:
         raise _RuleError(field, "need at least one scale")
     if not all(np.isfinite(scales)):

@@ -55,9 +55,36 @@ class _RuleError(ValueError):
         self.field = field
 
 
+def _is_number(value, kinds: tuple = ()) -> bool:
+    """Whether value is an int or numpy integer, or of one of ``kinds``; a
+    bool is an int but never a number here."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer) + kinds)
+
+
+def _no_bool(value, field: str):
+    """value, which must not be a bool (an int, but never a number here)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise _RuleError(field, f"{field} must be a number, got {value!r}")
+    return value
+
+
+def _check_whole(value, field: str, low: int) -> None:
+    """A count or a seed: an int (or numpy integer), not a bool, >= low."""
+    if not _is_number(value):
+        raise _RuleError(field, f"{field} must be a whole number, got {value!r}")
+    if value < low:
+        raise _RuleError(field, f"{field} must be >= {low}")
+
+
+def _check_which(which: int, field: str) -> None:
+    """A component: the int (or numpy integer) 1 or 2, not a bool."""
+    if not (_is_number(which) and which in (1, 2)):
+        raise _RuleError(field, f"{field} must be 1 or 2, got {which!r}")
+
+
 def _check_order(s: float, field: str) -> None:
     """A fractional order lies in (0, 1]."""
-    if not 0.0 < s <= 1.0:
+    if not 0.0 < _no_bool(s, field) <= 1.0:
         raise _RuleError(field, f"fractional order {field} must lie in (0, 1], got {s}")
 
 
@@ -79,15 +106,15 @@ class Grid:
     box_length: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
+        if _no_bool(self.dim, "dim") not in (1, 2, 3):
             raise _RuleError("dim", f"dim must be 1, 2, or 3, got {self.dim}")
         dim = int(self.dim)
-        n = int(self.n_per_axis)
+        n = int(_no_bool(self.n_per_axis, "n_per_axis"))
         if n != self.n_per_axis or n < 8 or (n & (n - 1)) != 0:
             raise _RuleError(
                 "n_per_axis", f"n_per_axis must be a power of two >= 8, got {self.n_per_axis}"
             )
-        L = float(self.box_length)
+        L = float(_no_bool(self.box_length, "box_length"))
         if not 0.0 < L < np.inf:
             raise _RuleError("box_length", f"box_length must be positive and finite, got {L}")
         # n is a power of two, so for a normal cell volume dividing by n**dim

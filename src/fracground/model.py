@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .grid import Field, Grid, _RuleError, _check_order
+from .grid import Field, Grid, _RuleError, _check_order, _is_number, _no_bool
 
 __all__ = [
     "ScalarFunctionSpec",
@@ -90,13 +90,14 @@ class ScalarFunctionSpec:
     def __post_init__(self):
         if self.kind not in FUNCTION_KINDS:
             raise _RuleError("kind", f"unknown scalar function kind {self.kind!r}")
-        periods = np.atleast_1d(self.trig_periods).tolist()  # one number: one for all axes
-        if not all(isinstance(m, numbers.Real) and m >= 1 and m % 1 == 0 for m in periods):
+        # one number: one for all axes; dtype=object keeps each entry as given
+        periods = np.atleast_1d(np.asarray(self.trig_periods, dtype=object)).tolist()
+        if not all(_is_number(m, (numbers.Real,)) and m >= 1 and m % 1 == 0 for m in periods):
             msg = f"trig_periods must be whole numbers >= 1, got {self.trig_periods!r}"
             raise _RuleError("trig_periods", msg)
         object.__setattr__(self, "trig_periods", tuple(int(m) for m in periods))
         for name in ("base_constant", "trig_amplitude", "perturbation_amplitude"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.isfinite(_no_bool(getattr(self, name), name)):
                 raise _RuleError(name, f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "constant" and self.trig_amplitude != 0.0:
             raise _RuleError("trig_amplitude", "constant kind admits no trig part")
@@ -104,7 +105,7 @@ class ScalarFunctionSpec:
             raise _RuleError(
                 "perturbation_amplitude", f"{self.kind} kind admits no perturbation part"
             )
-        if not 0.0 < self.perturbation_width < np.inf:
+        if not 0.0 < _no_bool(self.perturbation_width, "perturbation_width") < np.inf:
             raise _RuleError(
                 "perturbation_width", "perturbation_width must be positive and finite"
             )
@@ -205,6 +206,8 @@ class NonlinearitySpec:
     def __post_init__(self):
         if self.kind not in NONLINEARITY_KINDS:
             raise _RuleError("kind", f"unknown nonlinearity kind {self.kind!r}")
+        for name in ("gamma", "p"):
+            _no_bool(getattr(self, name), name)
         if self.kind == "log_power" and not 1.0 <= self.gamma < np.inf:
             raise _RuleError("gamma", f"log_power needs a finite gamma >= 1, got {self.gamma}")
         if self.kind == "pure_power" and not 2.0 < self.p < np.inf:

@@ -29,10 +29,11 @@ pair carries t times the trial's spectrum for its gradient.  An accepted
 step costs the 2 transforms of that gradient, and each projection 1
 quadratic-form pass.  On a large grid the descent holds one complex
 buffer in which each inverse transform runs its complex passes
-(grid._irfftn, _WORK_BYTES), and a pair positive everywhere projects
-with no gather (StatePair._positive).  A state is checked for finite
-values once, where it enters; a trial that overflows has a non-finite
-Q, so its projection fails and the line search backtracks.
+(grid._irfftn, _WORK_BYTES).  On every grid, a pair positive everywhere
+projects, and takes its energy, with no gather (StatePair._positive).
+A state is checked for finite values once, where it enters; a trial
+that overflows has a non-finite Q, so its projection fails and the line
+search backtracks.
 
 The outer iteration steps against the preconditioned gradient, projects
 the trial pair and accepts it once its energy is strictly lower,
@@ -96,7 +97,7 @@ from .energy import (
     energy,
     l2_norm_pair,
 )
-from .grid import Field, Grid, _RuleError, _irfftn, _rfftn
+from .grid import Field, Grid, _RuleError, _check_which, _check_whole, _irfftn, _is_number, _rfftn
 from .model import ProblemSpec, ValidationFailed, gaussian_bump, validate_assumptions
 
 __all__ = [
@@ -189,26 +190,6 @@ class SolverOptions:
         _check_whole(self.seed, "seed", 0)
 
 
-def _is_number(value, kinds: tuple = ()) -> bool:
-    """Whether value is an int or numpy integer, or of one of ``kinds``; a
-    bool is an int but never a number here."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer) + kinds)
-
-
-def _check_whole(value, field: str, low: int) -> None:
-    """A count or a seed: an int (or numpy integer), not a bool, >= low."""
-    if not _is_number(value):
-        raise _RuleError(field, f"{field} must be a whole number, got {value!r}")
-    if value < low:
-        raise _RuleError(field, f"{field} must be >= {low}")
-
-
-def _check_which(which: int, field: str) -> None:
-    """A component: the int (or numpy integer) 1 or 2, not a bool."""
-    if not (_is_number(which) and which in (1, 2)):
-        raise _RuleError(field, f"{field} must be 1 or 2, got {which!r}")
-
-
 @dataclass
 class SolveReport:
     """Outcome of one ground-state solve.
@@ -272,9 +253,6 @@ def nehari_project(state: StatePair, problem: ProblemSpec) -> tuple:
     exponent p, t0 = (Q / int(u+^p + v+^p))^(1/(p-2)); otherwise by
     safeguarded Newton from t = 1.  Raises NotInEPlus without a positive
     part and BracketFailure when Q <= 0 or no root lies in [2^-60, 2^60].
-    The scaled pair hands t0 times the gather of the pair's positive
-    entries, or its own flat values where every entry is positive, to its
-    first energy (energy.energy), which then gathers none.
     """
     x, k = state._positive()
     if not x.size:
@@ -285,16 +263,7 @@ def nehari_project(state: StatePair, problem: ProblemSpec) -> tuple:
             f"coupled quadratic form is {Q:.3g}; no projection exists"
         )
     t0 = _ray_scale(x, k, problem, Q)
-    projected = state.scaled(t0)
-    # entry for entry, t0 * x is the gather of t0 times the values (an entry
-    # that underflows to 0 adds F(0) = 0); a positive pair's x is the
-    # read-only view of its values, and the projected pair hands its own
-    if x.flags.writeable:
-        x *= t0
-    else:
-        x = projected.values.reshape(-1)
-    projected.__dict__["_gathered"] = (x, k)
-    return t0, projected
+    return t0, state.scaled(t0)
 
 
 def _ray_scale(x: np.ndarray, k: int, problem: ProblemSpec, Q: float) -> float:
@@ -595,13 +564,11 @@ def _trial(state: StatePair, grad: StatePair, eta: float) -> StatePair:
     if low.min() < 0.0:
         np.maximum(values, 0.0, out=values)
         np.maximum(low, 0.0, out=low)
-        pair = StatePair._stacked(state.grid, values)
+        spectrum = None
     else:
         spectrum = eta * grad.spectrum
         np.subtract(state.spectrum, spectrum, out=spectrum)
-        pair = StatePair._stacked(state.grid, values, spectrum)
-    pair.__dict__["_row_min"] = tuple(low.tolist())
-    return pair
+    return StatePair._stacked(state.grid, values, spectrum, tuple(low.tolist()))
 
 
 def _descent_gradient(state: StatePair, problem: ProblemSpec, work=None) -> StatePair:
@@ -622,7 +589,8 @@ def _residual(grad: StatePair, state: StatePair, problem: ProblemSpec) -> float:
     Where the descent's block was the unshifted one, that is |grad| /
     |state|.  Otherwise grad's kept residual spectra (``_unmixed``) are
     mixed by the unshifted block, and the norm follows by Parseval from the
-    half spectrum, with no transform.
+    half spectrum, with no transform.  The cache pays: a solve-log2d solve
+    reads the residual 5 times and computes it 3 times.
     """
     cached = grad.__dict__.get("_residual")
     if cached is not None:

@@ -13,10 +13,12 @@ import pytest
 
 from fracground import (
     ConfigError,
+    Field,
     NonlinearitySpec,
     ParsedConfig,
     ScalarFunctionSpec,
     SolverOptions,
+    apply_frac_laplacian,
     parse_config,
     read_field,
     render_config,
@@ -24,6 +26,7 @@ from fracground import (
 )
 from fracground import cli, solver
 from fracground.cli import run
+from fracground.grid import _RuleError
 
 
 BASE_CONFIG = """\
@@ -65,6 +68,7 @@ import sys
 
 from fracground import solve_ground_state
 from fracground.cli import run
+from fracground.grid import _RuleError
 from helpers import constant_problem
 
 assert solve_ground_state(constant_problem()).converged
@@ -186,6 +190,46 @@ def test_config_refuses_a_component_it_cannot_render(which):
     # tol_residual=True)
     with pytest.raises(ValueError, match="scalar_which must be 1 or 2"):
         dataclasses.replace(parse_config(BASE_CONFIG), scalar_which=which)
+
+
+def _set(path, field, value=True):
+    """A builder of the config part at ``path`` with ``field`` set to value."""
+
+    def build(cfg):
+        for name in path:
+            cfg = getattr(cfg, name)
+        return dataclasses.replace(cfg, **{field: value})
+
+    return field, build
+
+
+def _order_s(cfg):
+    grid = cfg.problem.grid
+    return apply_frac_laplacian(Field(grid, np.ones(grid.shape)), True)
+
+
+_V1_NUMBERS = ("base_constant", "trig_amplitude", "perturbation_amplitude", "perturbation_width")
+
+
+@pytest.mark.parametrize(
+    "field,build",
+    [
+        *[_set(("problem", "grid"), f) for f in ("dim", "n_per_axis", "box_length")],
+        *[_set(("problem",), f) for f in ("s1", "s2")],
+        ("s", _order_s),
+        *[_set(("problem", "V1"), f) for f in _V1_NUMBERS],
+        _set(("problem", "V1"), "trig_periods", (1, True)),
+        *[_set(("problem", "nl1"), f) for f in ("gamma", "p")],
+        _set((), "sweep_scales", (0.1, True)),
+        _set((), "limit_scales", (0.5, True)),
+    ],
+)
+def test_a_bool_is_no_number_to_any_owner(field, build):
+    # True == 1, but a config holding it renders as "True", which
+    # parse_config refuses: every numeric field refuses a bool by name
+    with pytest.raises(_RuleError, match=field) as caught:
+        build(parse_config(BASE_CONFIG))
+    assert caught.value.field == field
 
 
 # ---------------------------------------------------------------------------

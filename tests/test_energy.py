@@ -753,25 +753,54 @@ def test_equality_of_the_nonlinearities_is_decided_once_per_problem(monkeypatch)
 
 
 @pytest.mark.parametrize("case", ["mixed_positive", "mixed_zero_partner", "shared_sign_changing"])
-def test_projected_pair_hands_its_gather_to_its_first_energy(case, monkeypatch):
-    # nehari_project has gathered the trial's positive entries; t0 times
-    # them is the projected pair's gather, which its first energy takes
-    # instead of gathering again, and keeps no copy of
+def test_a_projected_pair_takes_its_positive_entries_at_each_energy(case, monkeypatch):
+    # energy takes a pair's positive part from StatePair._positive alone and
+    # removes nothing the pair keeps: a projected pair positive everywhere
+    # hands F its own flat read-only values, any other is gathered, once
+    # per energy, and both energies agree
     prob, state = _parity_cases()[case]
     _, projected = nehari_project(state, prob)
-    gathers = []
-    positive = StatePair._positive
+    kept = dict(projected.__dict__)
+    gathers, taken = [], []
+    positive, nonlinearity = StatePair._positive, ProblemSpec._nonlinearity
 
     def counted(self):
         gathers.append(1)
         return positive(self)
 
+    def recorded(self, name, x, split):
+        if name == "F":
+            taken.append(x)
+        return nonlinearity(self, name, x, split)
+
     monkeypatch.setattr(StatePair, "_positive", counted)
+    monkeypatch.setattr(ProblemSpec, "_nonlinearity", recorded)
     first = energy(projected, prob)
-    assert gathers == [] and "_gathered" not in projected.__dict__
+    assert all(projected.__dict__.get(key) is value for key, value in kept.items())
+    everywhere = min(projected._row_min) > 0.0
+    assert everywhere == (case == "mixed_positive")
+    (x,) = taken
+    assert gathers == [1] and np.shares_memory(x, projected.values) == everywhere
+    assert x.flags.writeable != everywhere
+    assert np.array_equal(x, projected.values[projected.values > 0.0])
     again = energy(projected, prob)
-    assert gathers == [1]
-    assert again == first
+    assert gathers == [1, 1] and again == first
+
+
+def test_a_trial_takes_its_row_minima_from_the_pass_that_builds_it():
+    # solver._trial hands the row minima of its clipping pass to the pair
+    # it builds, bit for bit each row's least value, whether the clip acted
+    # (no spectrum carried) or not (the spectrum carried)
+    solver = sys.modules["fracground.solver"]
+    prob, state = _parity_cases()["mixed_positive"]
+    g = prob.grid
+    along_v = StatePair(Field(g, np.zeros(g.shape)),
+                        Field(g, np.full(g.shape, state.v.values.mean())))
+    for grad, clipped in ((state.scaled(0.5), False), (along_v, True)):
+        trial = solver._trial(state, grad, 1.0)
+        assert "_row_min" in trial.__dict__ and ("spectrum" in trial.__dict__) != clipped
+        assert trial._row_min == tuple(trial.values.reshape(2, -1).min(axis=1).tolist())
+        assert (trial._row_min[1] == 0.0) == clipped
 
 
 def test_a_positive_pair_hands_its_flat_values_as_its_positive_entries():
